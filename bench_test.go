@@ -192,8 +192,8 @@ func BenchmarkDiffuseAsynchronous(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := diffuse.Asynchronous(tr, e0, diffuse.Params{Alpha: 0.5, Tol: 1e-6},
-			randx.New(uint64(i))); err != nil {
+		if _, _, err := diffuse.Run(diffuse.EngineAsynchronous, tr, e0, diffuse.Params{Alpha: 0.5, Tol: 1e-6},
+			uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -204,7 +204,7 @@ func BenchmarkDiffuseParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := diffuse.Parallel(tr, e0, diffuse.Params{Alpha: 0.5, Tol: 1e-6}); err != nil {
+		if _, _, err := diffuse.Run(diffuse.EngineParallel, tr, e0, diffuse.Params{Alpha: 0.5, Tol: 1e-6}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -217,7 +217,7 @@ func BenchmarkDiffuseParallelSingleWorker(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := diffuse.Parallel(tr, e0, diffuse.Params{Alpha: 0.5, Tol: 1e-6, Workers: 1}); err != nil {
+		if _, _, err := diffuse.Run(diffuse.EngineParallel, tr, e0, diffuse.Params{Alpha: 0.5, Tol: 1e-6, Workers: 1}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -238,8 +238,8 @@ func BenchmarkDiffuseApplyRow(b *testing.B) {
 	}
 }
 
-// BenchmarkDiffuseScalarApply measures the scalar CSR kernel behind
-// FastNodeScores (one Transition.Apply over the whole graph).
+// BenchmarkDiffuseScalarApply measures the scalar CSR kernel (one
+// Transition.Apply over the whole graph).
 func BenchmarkDiffuseScalarApply(b *testing.B) {
 	tr, _ := diffuseInput(b, 1)
 	n := tr.Graph().NumNodes()
@@ -255,7 +255,9 @@ func BenchmarkDiffuseScalarApply(b *testing.B) {
 	}
 }
 
-func BenchmarkFastNodeScores(b *testing.B) {
+// BenchmarkScoreSingleQuery measures the per-query path: a one-query
+// ScoreBatch on the synchronous engine.
+func BenchmarkScoreSingleQuery(b *testing.B) {
 	env := benchEnvironment(b)
 	net := core.NewNetwork(env.Graph, env.Bench.Vocabulary())
 	r := randx.New(4)
@@ -270,7 +272,7 @@ func BenchmarkFastNodeScores(b *testing.B) {
 	query := env.Bench.Vocabulary().Vector(pair.Query)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := net.FastNodeScores(query, 0.5, 0); err != nil {
+		if _, _, err := net.ScoreBatch([][]float64{query}, core.DiffusionRequest{Engine: diffuse.EngineSync, Alpha: 0.5}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -279,7 +281,7 @@ func BenchmarkFastNodeScores(b *testing.B) {
 // benchmarkScoreBatch measures the unified request API's multi-column
 // scoring: one ScoreBatch call over batchSize distinct queries per b.N
 // step on the default (Parallel) engine. Compare ns/op ÷ batchSize against
-// BenchmarkFastNodeScores to see the amortization (tracked in
+// BenchmarkScoreSingleQuery to see the amortization (tracked in
 // BENCH_diffuse.json via cmd/benchjson).
 func benchmarkScoreBatch(b *testing.B, batchSize int) {
 	benchmarkScoreBatchTiled(b, batchSize, 0)
@@ -375,10 +377,11 @@ func BenchmarkRunQueryGreedyTTL50(b *testing.B) {
 		b.Fatal(err)
 	}
 	query := env.Bench.Vocabulary().Vector(pair.Query)
-	scores, err := net.FastNodeScores(query, 0.5, 0)
+	batch, _, err := net.ScoreBatch([][]float64{query}, core.DiffusionRequest{Engine: diffuse.EngineSync, Alpha: 0.5})
 	if err != nil {
 		b.Fatal(err)
 	}
+	scores := batch[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		origin := i % env.Graph.NumNodes()

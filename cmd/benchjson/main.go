@@ -4,22 +4,21 @@
 // (BENCH_diffuse.json) so CI can track the perf trajectory of the hottest
 // path.
 //
-// Three drivers are timed on the identical input: the seed repo's
-// goroutine-per-node "concurrent" driver (preserved in seedref.go as the
-// baseline the Parallel engine replaced; skipped with -skip-seed), the
-// deterministic Asynchronous reference, and the residual-driven Parallel
-// engine. Speedups are reported against both baselines; gomaxprocs records
-// how many cores the snapshot machine offered (the Parallel engine's
-// scaling headroom).
+// Three engines diffuse the identical embedding matrix through diffuse.Run:
+// the deterministic Asynchronous reference, the residual-driven Parallel
+// engine, and the multi-color Gauss–Seidel engine. Speedups are reported
+// against the Asynchronous reference; gomaxprocs records how many cores
+// the snapshot machine offered (the Parallel engine's scaling headroom).
 //
 // BenchmarkScoreBatch rows (batch widths 1/8/64) time the unified request
 // API's multi-column query scoring on the Parallel engine against the
-// sequential baseline of B independent FastNodeScores calls; the batch=64
-// row is the ScoreBatch amortization acceptance number.
+// sequential baseline of B independent one-query ScoreBatch calls on the
+// synchronous engine; the batch=64 row is the ScoreBatch amortization
+// acceptance number.
 //
-// Batch_wide rows (B=256/512) compare the legacy untiled column kernels
-// against the auto column-tiled + SIMD path on the Parallel engine over
-// the projected wide relevance signal; outputs are bit-identical and the
+// Batch_wide rows (B=256/512) compare one column tile spanning the batch
+// (ColTile -1) against the auto column-tiled plan on the Parallel engine
+// over the projected wide relevance signal; outputs are bit-identical and the
 // B=512 row carries the ≥1.3× tiling acceptance bar. The gs row compares
 // the multi-color Gauss–Seidel engine's sweep count against the Parallel
 // engine's block-Jacobi rounds at the same tolerance (bar: ≤0.8×) and its
@@ -75,10 +74,10 @@
 // is gated absolutely — no baseline row needed, both sides are measured
 // back-to-back in this run.
 //
-// The apply_row_affine rows re-run the kernel-unrolling comparison behind
-// graph.Transition.ApplyRowAffine (shipped 4-edge-unrolled; the historical
-// 2-edge kernel is kept as ApplyRowAffine2) so the snapshot records why the
-// shipped kernel was chosen on the recording hardware.
+// The apply_row_affine rows time the bodies graph.Transition.ApplyRowAffine
+// can dispatch to — the portable Go kernel ("go") and, where the CPU has
+// one, the SIMD body ("simd") — at B=1/8/64, so the snapshot records the
+// SIMD body's margin on the recording hardware.
 //
 // With -baseline, the freshly measured snapshot is gated against a
 // committed one and the command exits non-zero when a Parallel-engine,
@@ -89,7 +88,7 @@
 // Usage:
 //
 //	benchjson -scale 0.25 -docs 500 -alpha 0.5 -seed 42 -out BENCH_diffuse.json
-//	benchjson -scale 0.25 -skip-seed -out /tmp/fresh.json -baseline BENCH_diffuse.json
+//	benchjson -scale 1.0 -docs 500 -out /tmp/fresh.json -baseline BENCH_diffuse.json
 package main
 
 import (
@@ -100,7 +99,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"diffusearch/internal/core"
 	"diffusearch/internal/diffuse"
@@ -119,13 +117,12 @@ type engineResult struct {
 	Sweeps         int     `json:"sweeps,omitempty"`
 	Updates        int64   `json:"updates"`
 	Messages       int64   `json:"messages"`
-	SpeedupVsSeed  float64 `json:"speedup_vs_seed"`
 	SpeedupVsAsync float64 `json:"speedup_vs_async"`
 }
 
 // batchResult records one BenchmarkScoreBatch width: the Parallel engine
 // scoring B queries through one multi-column diffusion, against the
-// sequential baseline of B independent FastNodeScores calls.
+// sequential baseline of B independent one-query sync ScoreBatch calls.
 type batchResult struct {
 	Batch               int     `json:"batch"`
 	NsPerOp             int64   `json:"ns_per_op"`
@@ -174,10 +171,10 @@ type priorityResult struct {
 	MeanBatchPri     float64 `json:"mean_batch_priority"`
 }
 
-// kernelResult records one ApplyRowAffine unrolling variant at one batch
-// width: ns for a full pass over every CSR row of the snapshot graph.
+// kernelResult records one ApplyRowAffine body at one batch width: ns for
+// a full pass over every CSR row of the snapshot graph.
 type kernelResult struct {
-	Kernel  string `json:"kernel"` // "unroll2" (historical) or "unroll4" (shipped)
+	Kernel  string `json:"kernel"` // "go" (portable) or "simd" (what ApplyRowAffine runs where present)
 	Batch   int    `json:"batch"`
 	NsPerOp int64  `json:"ns_per_op"`
 }
@@ -363,9 +360,7 @@ type snapshot struct {
 	// Telemetry records the instrumentation overhead row; OverheadFrac is
 	// gated absolutely at maxTelemetryOverhead (≤3% ns/query).
 	Telemetry []telemetryResult `json:"telemetry"`
-	// ApplyRowAffine records the kernel-unrolling evaluation; Kernel
-	// "unroll4" is the shipped ApplyRowAffine, "unroll2" the historical
-	// variant kept as ApplyRowAffine2.
+	// ApplyRowAffine records the Go kernel against the SIMD body.
 	ApplyRowAffine []kernelResult `json:"apply_row_affine"`
 }
 
@@ -378,19 +373,18 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "master seed")
 		out      = flag.String("out", "BENCH_diffuse.json", "output path")
 		workers  = flag.Int("workers", 4, "parallel engine pool size, pinned (not GOMAXPROCS) so allocs/op are machine-independent for the regression gate")
-		skipSeed = flag.Bool("skip-seed", false, "skip the slow seed-concurrent baseline driver")
 		baseline = flag.String("baseline", "", "committed snapshot to compare against; exits non-zero on Parallel-row regressions")
 		regress  = flag.Float64("max-regress", 0.25, "allowed fractional regression vs -baseline (allocs absolute at the pinned -workers count; ns/op normalized to the async row so the gate transfers across runner hardware)")
 	)
 	flag.Parse()
-	if err := run(*scale, *docs, *alpha, *tol, *seed, *out, *workers, *skipSeed, *baseline, *regress); err != nil {
+	if err := run(*scale, *docs, *alpha, *tol, *seed, *out, *workers, *baseline, *regress); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
 }
 
 func run(scale float64, numDocs int, alpha, tol float64, seed uint64, out string,
-	workers int, skipSeed bool, baseline string, maxRegress float64) error {
+	workers int, baseline string, maxRegress float64) error {
 	env, err := expt.NewEnvironment(expt.ScaledParams(seed, scale))
 	if err != nil {
 		return err
@@ -435,29 +429,22 @@ func run(scale float64, numDocs int, alpha, tol float64, seed uint64, out string
 		name string
 		fn   func() (diffuse.Stats, error)
 	}
-	var drivers []driver
-	if !skipSeed {
-		drivers = append(drivers, driver{"seed-concurrent", func() (diffuse.Stats, error) {
-			_, st, err := seedConcurrent(tr, e0, alpha, tol, 2*time.Minute)
-			return st, err
-		}})
-	}
-	drivers = append(drivers,
-		driver{"async", func() (diffuse.Stats, error) {
+	drivers := []driver{
+		{"async", func() (diffuse.Stats, error) {
 			_, st, err := diffuse.Run(diffuse.EngineAsynchronous, tr, e0, params, seed)
 			return st, err
 		}},
-		driver{"parallel", func() (diffuse.Stats, error) {
+		{"parallel", func() (diffuse.Stats, error) {
 			_, st, err := diffuse.Run(diffuse.EngineParallel, tr, e0, params, seed)
 			return st, err
 		}},
-		driver{"gs", func() (diffuse.Stats, error) {
+		{"gs", func() (diffuse.Stats, error) {
 			_, st, err := diffuse.Run(diffuse.EngineParallelGS, tr, e0, params, seed)
 			return st, err
 		}},
-	)
+	}
 
-	var seedNs, asyncNs int64
+	var asyncNs int64
 	for _, d := range drivers {
 		st, err := d.fn()
 		if err != nil {
@@ -480,10 +467,7 @@ func run(scale float64, numDocs int, alpha, tol float64, seed uint64, out string
 			Updates:     st.Updates,
 			Messages:    st.Messages,
 		}
-		switch d.name {
-		case "seed-concurrent":
-			seedNs = er.NsPerOp
-		case "async":
+		if d.name == "async" {
 			asyncNs = er.NsPerOp
 		}
 		snap.Engines = append(snap.Engines, er)
@@ -494,29 +478,28 @@ func run(scale float64, numDocs int, alpha, tol float64, seed uint64, out string
 		if er.NsPerOp <= 0 {
 			continue
 		}
-		if seedNs > 0 {
-			er.SpeedupVsSeed = float64(seedNs) / float64(er.NsPerOp)
-		}
 		er.SpeedupVsAsync = float64(asyncNs) / float64(er.NsPerOp)
-		fmt.Printf("%-16s %12d ns/op %10d B/op %8d allocs/op  updates=%d messages=%d speedup_vs_seed=%.2fx\n",
-			er.Engine, er.NsPerOp, er.BytesPerOp, er.AllocsPerOp, er.Updates, er.Messages, er.SpeedupVsSeed)
+		fmt.Printf("%-16s %12d ns/op %10d B/op %8d allocs/op  updates=%d messages=%d speedup_vs_async=%.2fx\n",
+			er.Engine, er.NsPerOp, er.BytesPerOp, er.AllocsPerOp, er.Updates, er.Messages, er.SpeedupVsAsync)
 	}
 
 	// BenchmarkScoreBatch: the Parallel engine scoring B queries through
 	// one multi-column diffusion, vs the sequential baseline of B
-	// independent FastNodeScores calls (the legacy per-query path).
+	// independent one-query ScoreBatch calls on the synchronous engine
+	// (the per-query path).
 	queries := make([][]float64, 512)
 	for j := range queries {
 		queries[j] = env.Bench.Vocabulary().Vector(env.Bench.SamplePair(r).Query)
 	}
-	query := queries[0]
-	if _, err := net.FastNodeScores(query, alpha, 0); err != nil {
+	single := queries[:1]
+	seqReq := core.DiffusionRequest{Engine: diffuse.EngineSync, Alpha: alpha}
+	if _, _, err := net.ScoreBatch(single, seqReq); err != nil {
 		return err
 	}
 	seqRes := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := net.FastNodeScores(query, alpha, 0); err != nil {
+			if _, _, err := net.ScoreBatch(single, seqReq); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -556,12 +539,11 @@ func run(scale float64, numDocs int, alpha, tol float64, seed uint64, out string
 
 	// Wide-batch tiled rows: the Parallel engine diffusing the projected
 	// B-query relevance signal (the same x_j[v] = e_qj · E0[v] construction
-	// ScoreBatch diffuses) with tiling disabled — the legacy untiled path,
-	// byte-for-byte the pre-tiling kernel — and with the auto column-tile
-	// policy, which engages at these widths and also routes the compute
-	// through the SIMD affine and residual kernels. Outputs are
-	// bit-identical; the rows record the throughput gap at serving batch
-	// widths and the B=512 row carries the tiling acceptance bar.
+	// ScoreBatch diffuses) as one tile spanning the batch (ColTile -1) and
+	// with the auto column-tile policy, which engages at these widths.
+	// Outputs are bit-identical; the rows record the throughput gap at
+	// serving batch widths and the B=512 row carries the tiling acceptance
+	// bar.
 	nodes := env.Graph.NumNodes()
 	wideX := vecmath.NewMatrix(nodes, len(queries))
 	for u := 0; u < nodes; u++ {
@@ -701,11 +683,8 @@ func run(scale float64, numDocs int, alpha, tol float64, seed uint64, out string
 		telem.Batch, telem.BaseNsPerQuery, telem.InstrNsPerQuery, 100*telem.OverheadFrac)
 	snap.Telemetry = append(snap.Telemetry, telem)
 
-	// ApplyRowAffine kernel evaluation (the ROADMAP profile-guided-kernel
-	// item): one full pass over every CSR row at each serving batch width,
-	// for the shipped 4-edge unroll and the historical 2-edge kernel it
-	// replaced. The snapshot keeps justifying the shipped choice on the
-	// recording hardware.
+	// ApplyRowAffine bodies: one full pass over every CSR row at each
+	// serving batch width, for the portable Go kernel and the SIMD body.
 	for _, bw := range []int{1, 8, 64} {
 		src := vecmath.NewMatrix(env.Graph.NumNodes(), bw)
 		for u := 0; u < env.Graph.NumNodes(); u++ {
@@ -716,23 +695,16 @@ func run(scale float64, numDocs int, alpha, tol float64, seed uint64, out string
 		}
 		e0row := make([]float64, bw)
 		dst := make([]float64, bw)
-		kernels := []struct {
-			name string
-			fn   func(dst []float64, u int, coeff float64, src *vecmath.Matrix, tele float64, e0row []float64)
-		}{
-			{"unroll2", tr.ApplyRowAffine2},
-			{"unroll4", tr.ApplyRowAffine},
-		}
-		for _, k := range kernels {
+		for _, k := range tr.AffineKernels() {
 			res := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					for u := 0; u < env.Graph.NumNodes(); u++ {
-						k.fn(dst, u, 1-alpha, src, alpha, e0row)
+						k.Apply(dst, u, 1-alpha, src, alpha, e0row)
 					}
 				}
 			})
-			kr := kernelResult{Kernel: k.name, Batch: bw, NsPerOp: res.NsPerOp()}
-			fmt.Printf("affine-%s-%-4d %12d ns/op (full CSR pass)\n", k.name, bw, kr.NsPerOp)
+			kr := kernelResult{Kernel: k.Name, Batch: bw, NsPerOp: res.NsPerOp()}
+			fmt.Printf("affine-%s-%-4d %12d ns/op (full CSR pass)\n", k.Name, bw, kr.NsPerOp)
 			snap.ApplyRowAffine = append(snap.ApplyRowAffine, kr)
 		}
 	}

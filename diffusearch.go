@@ -55,10 +55,6 @@
 //	sharded := diffusearch.NewSharded(env.Graph, env.Bench.Vocabulary(),
 //		diffusearch.ShardConfig{Shards: 4, Pool: pool})
 //
-// The historical DiffuseSync / DiffuseAsync / DiffuseParallel /
-// DiffuseWithFilter / FastNodeScores entry points remain as deprecated
-// shims over Run and ScoreBatch.
-//
 // See the examples/ directory for runnable programs and cmd/experiments for
 // the harness that regenerates every table and figure of the paper.
 package diffusearch

@@ -38,7 +38,7 @@ func TestParallelMatchesAsynchronousQuarterScale(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stAsync, err := net.Diffuse(diffusearch.EngineAsynchronous, diffusearch.DiffusionParams{Alpha: 0.5, Tol: 1e-6}, 42)
+	stAsync, err := net.Run(diffusearch.DiffusionRequest{Engine: diffusearch.EngineAsynchronous, Alpha: 0.5, Tol: 1e-6, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestParallelMatchesAsynchronousQuarterScale(t *testing.T) {
 		ref.SetRow(u, e)
 	}
 
-	stPar, err := net.Diffuse(diffusearch.EngineParallel, diffusearch.DiffusionParams{Alpha: 0.5, Tol: 1e-6}, 42)
+	stPar, err := net.Run(diffusearch.DiffusionRequest{Engine: diffusearch.EngineParallel, Alpha: 0.5, Tol: 1e-6, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,14 +9,14 @@ import (
 )
 
 func TestDiffuseEngineSelection(t *testing.T) {
-	// Both engines, driven through the engine-selecting entry point, must
-	// land on the synchronous fixed point and record alpha.
+	// Every engine, selected through the request, must land on the
+	// synchronous fixed point and record alpha.
 	f := newFixture(t)
 	f.place(t, 40, 4)
 	if err := f.net.ComputePersonalization(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.net.DiffuseSync(0.5, 1e-10); err != nil {
+	if _, err := f.net.Run(DiffusionRequest{Engine: diffuse.EngineSync, Alpha: 0.5, Tol: 1e-10}); err != nil {
 		t.Fatal(err)
 	}
 	want := make([][]float64, f.net.Graph().NumNodes())
@@ -27,8 +27,8 @@ func TestDiffuseEngineSelection(t *testing.T) {
 		}
 		want[u] = vecmath.Clone(e)
 	}
-	for _, eng := range []diffuse.Engine{diffuse.EngineAsynchronous, diffuse.EngineParallel} {
-		st, err := f.net.Diffuse(eng, diffuse.Params{Alpha: 0.5, Tol: 1e-8}, 9)
+	for _, eng := range []diffuse.Engine{diffuse.EngineAsynchronous, diffuse.EngineParallel, diffuse.EngineParallelGS} {
+		st, err := f.net.Run(DiffusionRequest{Engine: eng, Alpha: 0.5, Tol: 1e-8, Seed: 9})
 		if err != nil {
 			t.Fatalf("%v: %v", eng, err)
 		}
@@ -56,22 +56,21 @@ func TestDiffuseParallelShorthand(t *testing.T) {
 	if err := f.net.ComputePersonalization(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := f.net.DiffuseParallel(0.5, 0, 2)
+	st, err := f.net.Run(DiffusionRequest{Engine: diffuse.EngineParallel, Alpha: 0.5, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !st.Converged {
-		t.Fatal("parallel shorthand did not converge")
+		t.Fatal("parallel engine at its default tolerance did not converge")
 	}
 }
 
 func TestDiffuseRequiresPersonalization(t *testing.T) {
 	f := newFixture(t)
-	if _, err := f.net.Diffuse(diffuse.EngineParallel, diffuse.Params{Alpha: 0.5}, 1); !errors.Is(err, ErrNoPersonalization) {
-		t.Fatalf("want ErrNoPersonalization, got %v", err)
-	}
-	if _, err := f.net.DiffuseParallel(0.5, 0, 0); !errors.Is(err, ErrNoPersonalization) {
-		t.Fatalf("want ErrNoPersonalization, got %v", err)
+	for _, eng := range []diffuse.Engine{0, diffuse.EngineParallel} {
+		if _, err := f.net.Run(DiffusionRequest{Engine: eng, Alpha: 0.5}); !errors.Is(err, ErrNoPersonalization) {
+			t.Fatalf("engine %v: want ErrNoPersonalization, got %v", eng, err)
+		}
 	}
 }
 

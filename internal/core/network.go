@@ -9,10 +9,8 @@ import (
 	"errors"
 	"fmt"
 
-	"diffusearch/internal/diffuse"
 	"diffusearch/internal/embed"
 	"diffusearch/internal/graph"
-	"diffusearch/internal/ppr"
 	"diffusearch/internal/retrieval"
 	"diffusearch/internal/vecmath"
 )
@@ -20,8 +18,8 @@ import (
 // Sentinel errors for lifecycle misuse.
 var (
 	// ErrNotDiffused is returned when an operation needs diffused
-	// embeddings but neither Diffuse* has been run nor fast scoring
-	// requested.
+	// embeddings but Run has not been called and no precomputed scores
+	// were supplied.
 	ErrNotDiffused = errors.New("core: embeddings not diffused")
 	// ErrNoPersonalization is returned when diffusion is requested before
 	// ComputePersonalization.
@@ -31,8 +29,7 @@ var (
 // Network is the simulated P2P search network. Construct with NewNetwork,
 // then: PlaceDocuments → ComputePersonalization → Run (one DiffusionRequest
 // selecting engine/filter; or skip diffusion and use ScoreBatch scalar
-// scoring) → RunQuery. The historical Diffuse* / FastNodeScores entry
-// points remain as deprecated shims over Run and ScoreBatch.
+// scoring) → RunQuery.
 type Network struct {
 	g     *graph.Graph
 	tr    *graph.Transition
@@ -181,64 +178,6 @@ func (n *Network) Personalization(u graph.NodeID) ([]float64, error) {
 	return n.perso.Row(u), nil
 }
 
-// DiffuseSync diffuses E0 with the synchronous PPR iteration of eq. 7
-// (vector mode). tol ≤ 0 selects the default tolerance. Bit-compatible
-// with the historical ppr.PPRFilter path via diffuse.EngineSync.
-//
-// Deprecated: use Run with DiffusionRequest{Engine: diffuse.EngineSync}.
-func (n *Network) DiffuseSync(alpha, tol float64) (ppr.Stats, error) {
-	st, err := n.Run(DiffusionRequest{Engine: diffuse.EngineSync, Alpha: alpha, Tol: tol})
-	return ppr.Stats{Iterations: st.Sweeps, Residual: st.Residual, Converged: st.Converged}, err
-}
-
-// DiffuseWithFilter diffuses E0 with an arbitrary low-pass graph filter
-// (§II-C: PPR and heat kernels are both admissible smoothing operators).
-// The network's recorded alpha is left untouched; use NodeScores for
-// querying since FastNodeScores assumes the PPR filter.
-//
-// Deprecated: use Run with DiffusionRequest{Filter: f}.
-func (n *Network) DiffuseWithFilter(f ppr.Filter) (ppr.Stats, error) {
-	st, err := n.Run(DiffusionRequest{Filter: f})
-	return ppr.Stats{Iterations: st.Sweeps, Residual: st.Residual, Converged: st.Converged}, err
-}
-
-// Diffuse runs the decentralized diffusion of §IV-B with the selected
-// engine and stores the diffused embeddings. tol ≤ 0 selects the default
-// tolerance; seed drives the Asynchronous engine's update schedule and is
-// ignored by the schedule-independent Parallel and Sync engines.
-//
-// Deprecated: use Run with a DiffusionRequest.
-func (n *Network) Diffuse(engine diffuse.Engine, p diffuse.Params, seed uint64) (diffuse.Stats, error) {
-	// Preserve the legacy contract: an uninitialized engine was an error
-	// here, whereas a zero-value DiffusionRequest.Engine means "default to
-	// Parallel" — don't let the shim silently remap a caller bug.
-	if engine == 0 {
-		return diffuse.Stats{}, fmt.Errorf("diffuse: unknown engine %d", int(engine))
-	}
-	return n.Run(DiffusionRequest{
-		Engine: engine, Alpha: p.Alpha, Tol: p.Tol,
-		MaxSweeps: p.MaxSweeps, Workers: p.Workers, Seed: seed,
-	})
-}
-
-// DiffuseAsync diffuses E0 with the deterministic sequential reference
-// engine (seeded randomized single-node updates). tol ≤ 0 selects the
-// default tolerance. Equivalent to Run with EngineAsynchronous: the same
-// seed yields bit-for-bit the same result through either entry point.
-//
-// Deprecated: use Run with DiffusionRequest{Engine: diffuse.EngineAsynchronous}.
-func (n *Network) DiffuseAsync(alpha, tol float64, seed uint64) (diffuse.Stats, error) {
-	return n.Run(DiffusionRequest{Engine: diffuse.EngineAsynchronous, Alpha: alpha, Tol: tol, Seed: seed})
-}
-
-// DiffuseParallel diffuses E0 with the residual-driven parallel engine
-// (workers ≤ 0 selects GOMAXPROCS). tol ≤ 0 selects the default tolerance.
-//
-// Deprecated: use Run with DiffusionRequest{Engine: diffuse.EngineParallel}.
-func (n *Network) DiffuseParallel(alpha, tol float64, workers int) (diffuse.Stats, error) {
-	return n.Run(DiffusionRequest{Engine: diffuse.EngineParallel, Alpha: alpha, Tol: tol, Workers: workers})
-}
-
 // PersonalizationMatrix returns the full E0 matrix (one personalization
 // vector per row), or nil before ComputePersonalization. The matrix aliases
 // network state and must not be mutated; the experiment harness reads it to
@@ -269,30 +208,6 @@ func (n *Network) NodeScores(query []float64) ([]float64, error) {
 		s[u] = n.scorer.Score(query, n.emb.Row(u))
 	}
 	return s, nil
-}
-
-// FastNodeScores computes the same scores as NodeScores without
-// materializing diffused embeddings, by exploiting linearity: with the dot
-// product scorer,
-//
-//	s[u] = e_q · (H·E0)[u] = (H·x)[u]  where  x[v] = e_q · E0[v],
-//
-// i.e. one scalar PPR diffusion of the per-node query relevances. This is
-// exact (equality asserted in tests). It is a single-query ScoreBatch on
-// the synchronous engine, which keeps it bit-compatible with the
-// historical ppr.PPRFilter implementation (asserted in a regression test).
-// Requires the DotProduct scorer and computed personalization.
-//
-// Deprecated: use ScoreBatch, which amortizes the diffusion across a batch
-// of queries and defaults to the Parallel engine.
-func (n *Network) FastNodeScores(query []float64, alpha, tol float64) ([]float64, error) {
-	scores, _, err := n.ScoreBatch([][]float64{query}, DiffusionRequest{
-		Engine: diffuse.EngineSync, Alpha: alpha, Tol: tol,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return scores[0], nil
 }
 
 // LocalSearch runs the node-local retrieval of Fig. 1 step 2, offering

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"diffusearch/internal/diffuse"
 	"diffusearch/internal/embed"
 	"diffusearch/internal/gengraph"
 	"diffusearch/internal/graph"
@@ -55,7 +56,7 @@ func TestNetworkLifecycleErrors(t *testing.T) {
 	if _, err := f.net.Personalization(0); !errors.Is(err, ErrNoPersonalization) {
 		t.Fatalf("want ErrNoPersonalization, got %v", err)
 	}
-	if _, err := f.net.DiffuseSync(0.5, 0); !errors.Is(err, ErrNoPersonalization) {
+	if _, err := f.net.Run(DiffusionRequest{Engine: diffuse.EngineSync, Alpha: 0.5}); !errors.Is(err, ErrNoPersonalization) {
 		t.Fatalf("diffuse before personalization: %v", err)
 	}
 	if _, err := f.net.NodeEmbedding(0); !errors.Is(err, ErrNotDiffused) {
@@ -122,7 +123,7 @@ func TestDiffuseSyncAndAsyncAgree(t *testing.T) {
 	if err := f.net.ComputePersonalization(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.net.DiffuseSync(0.5, 1e-10); err != nil {
+	if _, err := f.net.Run(DiffusionRequest{Engine: diffuse.EngineSync, Alpha: 0.5, Tol: 1e-10}); err != nil {
 		t.Fatal(err)
 	}
 	sync := make([][]float64, f.net.Graph().NumNodes())
@@ -133,7 +134,7 @@ func TestDiffuseSyncAndAsyncAgree(t *testing.T) {
 		}
 		sync[u] = vecmath.Clone(e)
 	}
-	if _, err := f.net.DiffuseAsync(0.5, 1e-10, 9); err != nil {
+	if _, err := f.net.Run(DiffusionRequest{Engine: diffuse.EngineAsynchronous, Alpha: 0.5, Tol: 1e-10, Seed: 9}); err != nil {
 		t.Fatal(err)
 	}
 	for u := range sync {
@@ -160,7 +161,7 @@ func TestFastNodeScoresEqualsVectorMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alpha := range []float64{0.1, 0.5, 0.9} {
-		if _, err := f.net.DiffuseSync(alpha, 1e-12); err != nil {
+		if _, err := f.net.Run(DiffusionRequest{Engine: diffuse.EngineSync, Alpha: alpha, Tol: 1e-12}); err != nil {
 			t.Fatal(err)
 		}
 		q := f.net.Vocabulary().Vector(pair.Query)
@@ -168,10 +169,11 @@ func TestFastNodeScoresEqualsVectorMode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, err := f.net.FastNodeScores(q, alpha, 1e-12)
+		batch, _, err := f.net.ScoreBatch([][]float64{q}, DiffusionRequest{Engine: diffuse.EngineSync, Alpha: alpha, Tol: 1e-12})
 		if err != nil {
 			t.Fatal(err)
 		}
+		fast := batch[0]
 		for u := range slow {
 			if math.Abs(slow[u]-fast[u]) > 1e-7 {
 				t.Fatalf("alpha=%v node %d: slow %g fast %g", alpha, u, slow[u], fast[u])
@@ -186,7 +188,7 @@ func TestFastNodeScoresRequiresDotProduct(t *testing.T) {
 	if err := f.net.ComputePersonalization(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.net.FastNodeScores(f.net.Vocabulary().Vector(0), 0.5, 0); err == nil {
+	if _, _, err := f.net.ScoreBatch([][]float64{f.net.Vocabulary().Vector(0)}, DiffusionRequest{Alpha: 0.5}); err == nil {
 		t.Fatal("cosine scorer must be rejected by the fast path")
 	}
 }
@@ -235,7 +237,7 @@ func TestDiffuseWithHeatKernelFilter(t *testing.T) {
 	if err := f.net.ComputePersonalization(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := f.net.DiffuseWithFilter(ppr.HeatKernelFilter{T: 2, Terms: 40})
+	st, err := f.net.Run(DiffusionRequest{Filter: ppr.HeatKernelFilter{T: 2, Terms: 40}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +259,7 @@ func TestDiffuseWithHeatKernelFilter(t *testing.T) {
 	}
 	// Before personalization, the filter path must error like the others.
 	fresh := newFixture(t)
-	if _, err := fresh.net.DiffuseWithFilter(ppr.HeatKernelFilter{T: 1}); !errors.Is(err, ErrNoPersonalization) {
+	if _, err := fresh.net.Run(DiffusionRequest{Filter: ppr.HeatKernelFilter{T: 1}}); !errors.Is(err, ErrNoPersonalization) {
 		t.Fatalf("want ErrNoPersonalization, got %v", err)
 	}
 }
@@ -268,7 +270,7 @@ func TestNormalizationOption(t *testing.T) {
 	if err := f.net.ComputePersonalization(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.net.DiffuseSync(0.5, 0); err != nil {
+	if _, err := f.net.Run(DiffusionRequest{Engine: diffuse.EngineSync, Alpha: 0.5}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -279,7 +281,7 @@ func TestPlacementInvalidatesDiffusion(t *testing.T) {
 	if err := f.net.ComputePersonalization(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.net.DiffuseSync(0.5, 0); err != nil {
+	if _, err := f.net.Run(DiffusionRequest{Engine: diffuse.EngineSync, Alpha: 0.5}); err != nil {
 		t.Fatal(err)
 	}
 	// Placing more documents must invalidate stale embeddings.

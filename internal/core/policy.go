@@ -120,18 +120,38 @@ func originFanout(depth, fanout int) int {
 }
 
 // topByScore returns the k highest-scoring candidates (ties by lower id).
+// score runs exactly once per candidate: with embedding scoring each call
+// is a d-dimensional dot product, too costly to repeat inside a sort
+// comparator. The greedy walk's k = 1 is a single argmax pass.
 func topByScore(candidates []graph.NodeID, score func(graph.NodeID) float64, k int) []graph.NodeID {
-	ranked := make([]graph.NodeID, len(candidates))
-	copy(ranked, candidates)
-	sort.Slice(ranked, func(i, j int) bool {
-		si, sj := score(ranked[i]), score(ranked[j])
-		if si != sj {
-			return si > sj
-		}
-		return ranked[i] < ranked[j]
-	})
-	if k > len(ranked) {
-		k = len(ranked)
+	k = min(k, len(candidates))
+	scores := make([]float64, len(candidates))
+	for i, c := range candidates {
+		scores[i] = score(c)
 	}
-	return ranked[:k]
+	ahead := func(a, b int) bool { // candidate a ranks before candidate b
+		if scores[a] != scores[b] {
+			return scores[a] > scores[b]
+		}
+		return candidates[a] < candidates[b]
+	}
+	if k == 1 {
+		best := 0
+		for i := 1; i < len(candidates); i++ {
+			if ahead(i, best) {
+				best = i
+			}
+		}
+		return []graph.NodeID{candidates[best]}
+	}
+	order := make([]int, len(candidates))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool { return ahead(order[i], order[j]) })
+	ranked := make([]graph.NodeID, k)
+	for i := range ranked {
+		ranked[i] = candidates[order[i]]
+	}
+	return ranked
 }

@@ -74,7 +74,7 @@ type QueryConfig struct {
 	Workers    int
 
 	// Scores, when non-nil, supplies precomputed per-node relevance scores
-	// (e.g. one FastNodeScores call shared by many origins of the same
+	// (e.g. one ScoreBatch column shared by many origins of the same
 	// query). Takes precedence over FastScores and diffused embeddings.
 	Scores []float64
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
+	"diffusearch/internal/diffuse"
 	"diffusearch/internal/graph"
 	"diffusearch/internal/randx"
 	"diffusearch/internal/sim"
@@ -17,7 +20,7 @@ func prepared(t *testing.T, m int, alpha float64, seed uint64) (*fixture, embedP
 	if err := f.net.ComputePersonalization(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.net.DiffuseSync(alpha, 1e-10); err != nil {
+	if _, err := f.net.Run(DiffusionRequest{Engine: diffuse.EngineSync, Alpha: alpha, Tol: 1e-10}); err != nil {
 		t.Fatal(err)
 	}
 	return f, embedPair{Query: pair.Query, Gold: pair.Gold}
@@ -355,5 +358,39 @@ func TestPolicies(t *testing.T) {
 	}
 	if GreedyPolicy.Name(GreedyPolicy{}) != "greedy" || RandomPolicy.Name(RandomPolicy{}) != "random" || FloodingPolicy.Name(FloodingPolicy{}) != "flooding" {
 		t.Fatal("policy names")
+	}
+}
+
+// TestTopByScoreScoresEachCandidateOnce: the greedy selection calls the
+// score function exactly once per candidate and returns the same ranking
+// as sorting by score (ties by lower id), for every k.
+func TestTopByScoreScoresEachCandidateOnce(t *testing.T) {
+	r := randx.New(17)
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + r.IntN(40)
+		cands := make([]graph.NodeID, n)
+		val := make(map[graph.NodeID]float64, n)
+		for i := range cands {
+			cands[i] = r.IntN(1000)
+			val[cands[i]] = float64(r.IntN(5)) // few levels: plenty of ties
+		}
+		want := append([]graph.NodeID(nil), cands...)
+		sort.Slice(want, func(i, j int) bool {
+			if val[want[i]] != val[want[j]] {
+				return val[want[i]] > val[want[j]]
+			}
+			return want[i] < want[j]
+		})
+		for _, k := range []int{1, 2, 3, n, n + 1} {
+			calls := 0
+			score := func(v graph.NodeID) float64 { calls++; return val[v] }
+			got := topByScore(cands, score, k)
+			if calls != n {
+				t.Fatalf("n=%d k=%d: score called %d times, want %d", n, k, calls, n)
+			}
+			if m := min(k, n); !reflect.DeepEqual(got, want[:m]) {
+				t.Fatalf("n=%d k=%d: got %v, want %v", n, k, got, want[:m])
+			}
+		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // DefaultScoreTol is the per-column convergence tolerance ScoreBatch uses
-// when the request leaves Tol zero. Scoring keeps the historical
-// FastNodeScores precision (ppr.DefaultTol, the single authoritative
+// when the request leaves Tol zero. Scoring keeps the precision of the
+// synchronous reference filter (ppr.DefaultTol, the single authoritative
 // constant) on every engine, so switching engines never loosens query
 // relevances silently.
 const DefaultScoreTol = ppr.DefaultTol
@@ -47,9 +47,7 @@ func (c ServeClass) String() string {
 
 // DiffusionRequest is the single dispatch struct behind every diffusion on
 // a Network: embedding diffusion (Run) and batch query scoring
-// (ScoreBatch). It replaces the historical DiffuseSync / DiffuseAsync /
-// DiffuseParallel / DiffuseWithFilter / FastNodeScores spread of
-// inconsistently-knobbed entry points.
+// (ScoreBatch).
 type DiffusionRequest struct {
 	// Engine selects the diffusion driver; the zero value selects
 	// diffuse.EngineParallel, the fast path for serving.
@@ -125,9 +123,8 @@ func (r DiffusionRequest) params() diffuse.Params {
 }
 
 // projectQueries builds the n×B relevance signal x_j[v] = e_qj · E0[v] that
-// both ScoreBatch and ScoreBatchTopK diffuse (the linearity trick of
-// FastNodeScores). Requires the DotProduct scorer and computed
-// personalization.
+// both ScoreBatch and ScoreBatchTopK diffuse (see ScoreBatch). Requires
+// the DotProduct scorer and computed personalization.
 func (n *Network) projectQueries(queries [][]float64) (*vecmath.Matrix, error) {
 	if n.perso == nil {
 		return nil, ErrNoPersonalization
@@ -183,24 +180,28 @@ func (n *Network) Run(req DiffusionRequest) (diffuse.Stats, error) {
 		n.emb = emb
 		return filterStats(pst), nil
 	}
-	emb, st, err := n.scoring.Diffuse(n.perso, req.engine(), req.params(), req.Seed)
+	emb, st, err := n.scoring.DiffuseSignal(diffuse.NewSignal(n.perso), req.engine(), req.params(), req.Seed)
 	if err != nil {
 		return st, err
 	}
-	n.emb = emb
+	n.emb = emb.Matrix()
 	n.alpha = req.Alpha
 	return st, nil
 }
 
-// ScoreBatch scores every node for a batch of B queries in one diffusion:
-// it projects the personalization matrix onto each query (x_j[v] = e_qj ·
-// E0[v], the linearity trick of FastNodeScores), assembles the n×B
-// relevance Signal, diffuses it column-blocked on the selected engine
-// (default Parallel), and returns one per-node score slice per query.
-// Compared to B independent FastNodeScores calls this streams each CSR row
-// once per node per batch instead of once per query, and early-terminated
-// columns (see Stats.ColumnSweeps) stop costing work while slower ones
-// finish.
+// ScoreBatch scores every node for a batch of B queries in one diffusion,
+// the same scores NodeScores reads off diffused embeddings but without
+// materializing them. With the dot-product scorer, linearity gives
+//
+//	s[u] = e_q · (H·E0)[u] = (H·x)[u]  where  x[v] = e_q · E0[v],
+//
+// so ScoreBatch projects the personalization matrix onto each query,
+// assembles the n×B relevance Signal, diffuses it column-blocked on the
+// selected engine (default Parallel), and returns one per-node score slice
+// per query. Each CSR row streams once per node per batch instead of once
+// per query, and early-terminated columns (see Stats.ColumnSweeps) stop
+// costing work while slower ones finish. On EngineSync a one-query batch
+// is bit-compatible with the historical ppr.PPRFilter path.
 //
 // Requires the DotProduct scorer and computed personalization. Tol 0
 // selects DefaultScoreTol on every engine.

@@ -12,12 +12,21 @@ import (
 	"diffusearch/internal/vecmath"
 )
 
+// syncScores scores one query with a single-column ScoreBatch on the
+// synchronous engine: the reference the batch properties compare against.
+func syncScores(t *testing.T, net *Network, query []float64, alpha, tol float64) []float64 {
+	t.Helper()
+	batch, _, err := net.ScoreBatch([][]float64{query}, DiffusionRequest{Engine: diffuse.EngineSync, Alpha: alpha, Tol: tol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return batch[0]
+}
+
 func TestFastNodeScoresBitCompatibleWithLegacyPPRFilterPath(t *testing.T) {
-	// Regression for the FastNodeScores engine-bypass fix: the shim now
-	// routes through ScoreBatch (B=1, EngineSync), and that path must
-	// reproduce the historical direct ppr.PPRFilter implementation bit for
-	// bit — experiments and walk traces seeded on the old scores must not
-	// move.
+	// A one-query ScoreBatch on EngineSync must reproduce the historical
+	// direct ppr.PPRFilter implementation bit for bit — experiments and
+	// walk traces seeded on the old scores must not move.
 	f := newFixture(t)
 	pair := f.place(t, 60, 41)
 	if err := f.net.ComputePersonalization(); err != nil {
@@ -26,10 +35,7 @@ func TestFastNodeScoresBitCompatibleWithLegacyPPRFilterPath(t *testing.T) {
 	query := f.net.Vocabulary().Vector(pair.Query)
 	for _, tol := range []float64{0, 1e-10} {
 		for _, alpha := range []float64{0.1, 0.5, 0.9} {
-			got, err := f.net.FastNodeScores(query, alpha, tol)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := syncScores(t, f.net, query, alpha, tol)
 			// The legacy implementation, verbatim: scalar projection then a
 			// direct synchronous PPR filter.
 			nn := f.net.Graph().NumNodes()
@@ -57,7 +63,7 @@ func TestFastNodeScoresBitCompatibleWithLegacyPPRFilterPath(t *testing.T) {
 
 func TestScoreBatchMatchesSequentialFastNodeScores(t *testing.T) {
 	// The batch-equivalence property: ScoreBatch over B random queries must
-	// equal B independent FastNodeScores calls within 1e-9, across every
+	// equal B independent one-query sync scorings within 1e-9, across every
 	// engine and worker count. At the tight tolerance used here all engines
 	// land on the same fixed point to well below the bar.
 	f := newFixture(t)
@@ -80,11 +86,7 @@ func TestScoreBatchMatchesSequentialFastNodeScores(t *testing.T) {
 	}
 	want := make([][]float64, b)
 	for j, q := range queries {
-		s, err := f.net.FastNodeScores(q, 0.5, tol)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[j] = s
+		want[j] = syncScores(t, f.net, q, 0.5, tol)
 	}
 	for _, eng := range []diffuse.Engine{diffuse.EngineSync, diffuse.EngineAsynchronous, diffuse.EngineParallel} {
 		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
@@ -99,7 +101,7 @@ func TestScoreBatchMatchesSequentialFastNodeScores(t *testing.T) {
 			}
 			for j := range want {
 				if d := vecmath.MaxAbsDiff(got[j], want[j]); d > 1e-9 {
-					t.Fatalf("%v workers=%d query %d: batch differs from sequential FastNodeScores by %g (> 1e-9)",
+					t.Fatalf("%v workers=%d query %d: batch differs from sequential one-query scoring by %g (> 1e-9)",
 						eng, workers, j, d)
 				}
 			}
@@ -147,8 +149,8 @@ func TestRunDispatchesEnginesAndFilters(t *testing.T) {
 	if f.net.Alpha() != 0.5 {
 		t.Fatal("Run must record alpha for engine runs")
 	}
-	// Filter dispatch: a request carrying a filter must match the
-	// deprecated DiffuseWithFilter entry point.
+	// Filter dispatch: a request carrying a filter must match applying the
+	// filter to E0 directly.
 	if _, err := f.net.Run(DiffusionRequest{Filter: ppr.HeatKernelFilter{T: 2, Terms: 30}}); err != nil {
 		t.Fatal(err)
 	}
@@ -157,13 +159,13 @@ func TestRunDispatchesEnginesAndFilters(t *testing.T) {
 		e, _ := f.net.NodeEmbedding(u)
 		heat[u] = vecmath.Clone(e)
 	}
-	if _, err := f.net.DiffuseWithFilter(ppr.HeatKernelFilter{T: 2, Terms: 30}); err != nil {
+	direct, _, err := ppr.HeatKernelFilter{T: 2, Terms: 30}.Apply(f.net.Transition(), f.net.PersonalizationMatrix())
+	if err != nil {
 		t.Fatal(err)
 	}
 	for u := range heat {
-		e, _ := f.net.NodeEmbedding(u)
-		if vecmath.MaxAbsDiff(e, heat[u]) != 0 {
-			t.Fatalf("filter request diverged from DiffuseWithFilter at node %d", u)
+		if vecmath.MaxAbsDiff(direct.Row(u), heat[u]) != 0 {
+			t.Fatalf("filter request diverged from the filter applied directly at node %d", u)
 		}
 	}
 	// EngineFilter adapts a request to the ppr.Filter interface: running an

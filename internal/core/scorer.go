@@ -5,37 +5,27 @@ import (
 
 	"diffusearch/internal/diffuse"
 	"diffusearch/internal/graph"
-	"diffusearch/internal/vecmath"
 )
 
 // Scorer is the diffusion backend behind a Network's Run and ScoreBatch:
 // given the resolved engine and parameters of a DiffusionRequest, it
-// smooths an embedding matrix (Diffuse) or a batched scalar relevance
-// signal (DiffuseSignal) over some representation of the topology. The
-// default backend diffuses the network's single CSR; internal/shard
+// diffuses an n×B column-blocked signal — the n×d embedding matrix for
+// Run, the batched scalar query relevances for ScoreBatch — with
+// per-column early termination over some representation of the topology.
+// The default backend diffuses the network's single CSR; internal/shard
 // provides a partitioned implementation that diffuses per-shard CSRs
 // concurrently on a shared worker pool, so one process can serve many
 // tenant graphs. Swapping the backend changes where the diffusion runs,
 // never the request API — every entry point keeps going through
 // DiffusionRequest.
 type Scorer interface {
-	// Diffuse smooths an n×d embedding matrix (Network.Run's engine path).
-	Diffuse(e0 *vecmath.Matrix, engine diffuse.Engine, p diffuse.Params, seed uint64) (*vecmath.Matrix, diffuse.Stats, error)
-	// DiffuseSignal diffuses an n×B column-blocked scalar signal with
-	// per-column early termination (Network.ScoreBatch's engine path).
 	DiffuseSignal(sig *diffuse.Signal, engine diffuse.Engine, p diffuse.Params, seed uint64) (*diffuse.Signal, diffuse.Stats, error)
 }
 
 // csrScorer is the default single-CSR backend: it dispatches to the engine
-// implementations exactly as Run/ScoreBatch did before the Scorer seam
-// existed, so installing no backend is bit-for-bit the historical
-// behaviour.
+// implementations directly.
 type csrScorer struct {
 	tr *graph.Transition
-}
-
-func (s *csrScorer) Diffuse(e0 *vecmath.Matrix, engine diffuse.Engine, p diffuse.Params, seed uint64) (*vecmath.Matrix, diffuse.Stats, error) {
-	return diffuse.Run(engine, s.tr, e0, p, seed)
 }
 
 func (s *csrScorer) DiffuseSignal(sig *diffuse.Signal, engine diffuse.Engine, p diffuse.Params, seed uint64) (*diffuse.Signal, diffuse.Stats, error) {

@@ -1,29 +1,36 @@
-// Package diffuse implements the decentralized, asynchronous embedding
-// diffusion of §IV-B: node pairs exchange embeddings and locally apply the
-// update e_u ← (1−a)·Σ_v A[u][v]·ê_v + a·e0_u until the network reaches the
-// PPR fixed point of eq. 6. Per p2pgnn [34], asynchronous updates converge
-// to the synchronous solution provided no node starves.
+// Package diffuse implements the decentralized embedding diffusion of
+// §IV-B: node pairs exchange embeddings and locally apply the update
+// e_u ← (1−a)·Σ_v A[u][v]·ê_v + a·e0_u until the network reaches the PPR
+// fixed point of eq. 6. Per p2pgnn [34], asynchronous updates converge to
+// the synchronous solution provided no node starves.
 //
-// Two engines are provided (see Engine for selection):
+// Everything diffused is a Signal: an n×B column block whose columns are
+// independent scalar signals — B batched query relevances for scoring, or
+// the d dimensions of the embedding matrix for Run. Four engines (see
+// Engine) are schedules of the same linear system, each written once as a
+// column kernel over column tiles:
 //
-//   - Asynchronous: a deterministic, seeded replay of randomized single-node
-//     updates (the Gauss–Seidel async model). The reference engine: used
-//     where bit-for-bit reproducibility matters.
+//   - Sync: full eq. 7 sweeps; the scoring-grade reference, bit-compatible
+//     with ppr.PPRFilter.
+//   - Async: a deterministic, seeded replay of randomized single-node
+//     updates (the Gauss–Seidel async model).
 //   - Parallel: a residual-driven active-frontier engine (Gauss–Southwell
-//     style) running on a fixed worker pool. Only nodes with significant
-//     unseen incoming change (a receiver-aware threshold derived from
-//     tol/4) are re-queued, so both wall-clock time and the Messages
-//     bandwidth proxy drop sharply once the diffusion localizes. Converges
-//     to the same fixed point within tolerance.
+//     style) on a fixed worker pool. Only nodes with significant unseen
+//     incoming change are re-queued, so work and the Messages bandwidth
+//     proxy drop sharply once the diffusion localizes.
+//   - GS: multi-color Gauss–Seidel, parallel within a color class and
+//     deterministic for every worker count.
+//
+// Every kernel tracks residuals per column and retires a column as soon as
+// it converges. RunSharded runs the sync and parallel schedules over
+// partitioned CSRs.
 package diffuse
 
 import (
 	"errors"
 	"fmt"
 
-	"diffusearch/internal/graph"
-	"diffusearch/internal/randx"
-	"diffusearch/internal/vecmath"
+	"diffusearch/internal/ppr"
 )
 
 // Default convergence controls.
@@ -36,19 +43,17 @@ const (
 // its sweep budget.
 var ErrNoConvergence = errors.New("diffuse: diffusion did not converge")
 
-// Stats describes one diffusion run. Messages counts embedding transfers
-// between distinct nodes (the bandwidth proxy: each message carries one
-// row-sized vector — the full embedding in matrix mode, one value per
-// batched column in Signal mode).
+// Stats describes one diffusion run. Messages counts row transfers between
+// distinct nodes (the bandwidth proxy: each message carries one value per
+// active column).
 type Stats struct {
 	Updates   int64 // local recomputations performed
 	Messages  int64 // embedding vectors sent across edges
-	Sweeps    int   // full passes (Asynchronous/Sync) or frontier rounds (Parallel)
+	Sweeps    int   // full passes (Sync/Async/GS) or frontier rounds (Parallel)
 	Residual  float64
 	Converged bool
 
-	// ColumnSweeps, set only by the column-blocked Signal kernels
-	// (RunSignal), records per original column how many sweeps/rounds the
+	// ColumnSweeps records per original column how many sweeps/rounds the
 	// column stayed in the active block before its per-column residual
 	// dropped below the engine's retirement threshold. Early-terminated
 	// columns show smaller counts than Sweeps.
@@ -66,25 +71,22 @@ type Params struct {
 	Alpha     float64 // PPR teleport probability
 	Tol       float64 // max-norm convergence tolerance; 0 means DefaultTol
 	MaxSweeps int     // sweep/round budget; 0 means DefaultMaxSweeps
-	Workers   int     // Parallel engine only: pool size; 0 means GOMAXPROCS
+	Workers   int     // Parallel and GS engines only: pool size; 0 means GOMAXPROCS
 
-	// ColTile controls column tiling of the single-CSR Signal kernels
-	// (see tile.go): 0 auto-tiles wide batches (B ≥ 256) with a width from
-	// the L2 cache model, < 0 disables tiling (the legacy untiled kernels
-	// run), > 0 forces that tile width at any batch width. Tiled runs are
-	// bit-identical to untiled ones — the knob trades only speed. The
-	// matrix engines and the sharded kernels ignore it.
+	// ColTile controls column tiling of the single-CSR kernels (see
+	// tile.go): 0 auto-tiles wide batches (B ≥ 256) with a width from the
+	// L2 cache model, < 0 runs one tile spanning the batch, > 0 forces
+	// that tile width at any batch width. Every plan is bit-identical —
+	// the knob trades only speed. The sharded kernels ignore it.
 	ColTile int
 
-	// Stop, when non-nil, lets the column-blocked Signal kernels retire
-	// columns before their residual converges (see StopPredicate). The
-	// matrix engines (Run) ignore it.
+	// Stop, when non-nil, lets the kernels retire columns before their
+	// residual converges (see StopPredicate).
 	Stop StopPredicate
 
-	// Observe, when non-nil, receives one SweepStat per sweep/round from
-	// the column-blocked Signal kernels (see Observer) — a read-only tap
-	// on the convergence profile that can never change the result. The
-	// matrix engines (Run) ignore it, like Stop.
+	// Observe, when non-nil, receives one SweepStat per sweep/round (see
+	// Observer) — a read-only tap on the convergence profile that can
+	// never change the result.
 	Observe Observer
 }
 
@@ -99,64 +101,31 @@ func (p Params) controls() (tol float64, maxSweeps int) {
 	return tol, maxSweeps
 }
 
+// Synchronous-engine convergence controls. The synchronous iteration is the
+// scoring-grade reference (eq. 7 applied to every node per sweep), so its
+// defaults alias the authoritative ppr.PPRFilter controls rather than the
+// looser gossip-engine defaults: callers that relied on
+// ppr.PPRFilter{Tol: 0} keep bit-identical behaviour through EngineSync.
+const (
+	DefaultSyncTol       = ppr.DefaultTol
+	DefaultSyncMaxSweeps = ppr.DefaultMaxIter
+)
+
+// syncControls resolves the zero-value defaults for the synchronous engine.
+func (p Params) syncControls() (tol float64, maxSweeps int) {
+	tol, maxSweeps = p.Tol, p.MaxSweeps
+	if tol <= 0 {
+		tol = DefaultSyncTol
+	}
+	if maxSweeps <= 0 {
+		maxSweeps = DefaultSyncMaxSweeps
+	}
+	return tol, maxSweeps
+}
+
 func (p Params) validate() error {
 	if p.Alpha <= 0 || p.Alpha > 1 {
 		return fmt.Errorf("diffuse: teleport probability %v out of (0,1]", p.Alpha)
 	}
 	return nil
-}
-
-// Asynchronous runs the randomized asynchronous diffusion to convergence:
-// each step picks one node (uniformly, via r) and recomputes its embedding
-// from its neighbours' most recent embeddings. Updates are applied in
-// place, which models peers that always gossip their latest value.
-//
-// The returned matrix holds one diffused node embedding per row. The input
-// e0 is not modified.
-func Asynchronous(tr *graph.Transition, e0 *vecmath.Matrix, p Params, r *randx.Rand) (*vecmath.Matrix, Stats, error) {
-	if err := p.validate(); err != nil {
-		return nil, Stats{}, err
-	}
-	g := tr.Graph()
-	n := g.NumNodes()
-	if e0.Rows() != n {
-		return nil, Stats{}, fmt.Errorf("diffuse: signal has %d rows, graph has %d nodes", e0.Rows(), n)
-	}
-	tol, maxSweeps := p.controls()
-	emb := e0.Clone()
-	scratch := make([]float64, e0.Cols())
-	var st Stats
-	for st.Sweeps = 1; st.Sweeps <= maxSweeps; st.Sweeps++ {
-		var sweepResidual float64
-		// A sweep visits every node once in a fresh random order; this
-		// guarantees the no-starvation condition of [34] while remaining
-		// fully asynchronous in effect (updates see mid-sweep values).
-		for _, u := range r.Perm(n) {
-			res := updateNode(tr, emb, e0, u, p.Alpha, scratch)
-			st.Updates++
-			st.Messages += int64(g.Degree(u)) // u pulls each neighbour's latest embedding
-			if res > sweepResidual {
-				sweepResidual = res
-			}
-		}
-		st.Residual = sweepResidual
-		if sweepResidual <= tol {
-			st.Converged = true
-			return emb, st, nil
-		}
-	}
-	st.Sweeps = maxSweeps
-	return emb, st, fmt.Errorf("%w after %d sweeps (residual %g)", ErrNoConvergence, maxSweeps, st.Residual)
-}
-
-// updateNode recomputes node u's embedding in place and returns the
-// max-norm change. scratch must have dim length.
-func updateNode(tr *graph.Transition, emb, e0 *vecmath.Matrix, u graph.NodeID, alpha float64, scratch []float64) float64 {
-	vecmath.Zero(scratch)
-	tr.ApplyRow(scratch, u, 1-alpha, emb)
-	vecmath.AXPY(scratch, alpha, e0.Row(u))
-	row := emb.Row(u)
-	res := vecmath.MaxAbsDiff(row, scratch)
-	copy(row, scratch)
-	return res
 }

@@ -40,7 +40,7 @@ func TestAsynchronousMatchesSynchronousFixedPoint(t *testing.T) {
 			tr := graph.NewTransition(g, norm)
 			e0 := randomSignal(1, g.NumNodes(), 5)
 			want := syncFixedPoint(t, tr, e0, alpha)
-			got, st, err := Asynchronous(tr, e0, Params{Alpha: alpha, Tol: 1e-10}, randx.New(7))
+			got, st, err := Run(EngineAsynchronous, tr, e0, Params{Alpha: alpha, Tol: 1e-10}, 7)
 			if err != nil {
 				t.Fatalf("%v a=%v: %v", norm, alpha, err)
 			}
@@ -58,11 +58,11 @@ func TestAsynchronousDeterministicForSeed(t *testing.T) {
 	g := gengraph.ErdosRenyi(40, 0.15, 4)
 	tr := graph.NewTransition(g, graph.ColumnStochastic)
 	e0 := randomSignal(2, g.NumNodes(), 3)
-	a, stA, err := Asynchronous(tr, e0, Params{Alpha: 0.3}, randx.New(11))
+	a, stA, err := Run(EngineAsynchronous, tr, e0, Params{Alpha: 0.3}, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, stB, err := Asynchronous(tr, e0, Params{Alpha: 0.3}, randx.New(11))
+	b, stB, err := Run(EngineAsynchronous, tr, e0, Params{Alpha: 0.3}, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestAsynchronousStats(t *testing.T) {
 	g := gengraph.ErdosRenyi(30, 0.2, 5)
 	tr := graph.NewTransition(g, graph.ColumnStochastic)
 	e0 := randomSignal(3, g.NumNodes(), 2)
-	_, st, err := Asynchronous(tr, e0, Params{Alpha: 0.5}, randx.New(1))
+	_, st, err := Run(EngineAsynchronous, tr, e0, Params{Alpha: 0.5}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestAsynchronousInputUnmodified(t *testing.T) {
 	tr := graph.NewTransition(g, graph.ColumnStochastic)
 	e0 := randomSignal(4, g.NumNodes(), 2)
 	snap := e0.Clone()
-	if _, _, err := Asynchronous(tr, e0, Params{Alpha: 0.4}, randx.New(2)); err != nil {
+	if _, _, err := Run(EngineAsynchronous, tr, e0, Params{Alpha: 0.4}, 2); err != nil {
 		t.Fatal(err)
 	}
 	if vecmath.MaxAbsDiffMatrix(e0, snap) != 0 {
@@ -114,11 +114,11 @@ func TestAsynchronousValidation(t *testing.T) {
 	g := gengraph.ErdosRenyi(10, 0.3, 7)
 	tr := graph.NewTransition(g, graph.ColumnStochastic)
 	e0 := randomSignal(5, g.NumNodes(), 1)
-	if _, _, err := Asynchronous(tr, e0, Params{Alpha: 0}, randx.New(1)); err == nil {
+	if _, _, err := Run(EngineAsynchronous, tr, e0, Params{Alpha: 0}, 1); err == nil {
 		t.Fatal("alpha=0 must error")
 	}
 	bad := randomSignal(6, 3, 1)
-	if _, _, err := Asynchronous(tr, bad, Params{Alpha: 0.5}, randx.New(1)); err == nil {
+	if _, _, err := Run(EngineAsynchronous, tr, bad, Params{Alpha: 0.5}, 1); err == nil {
 		t.Fatal("row mismatch must error")
 	}
 }
@@ -127,7 +127,7 @@ func TestAsynchronousNoConvergenceBudget(t *testing.T) {
 	g := gengraph.ErdosRenyi(30, 0.2, 8)
 	tr := graph.NewTransition(g, graph.ColumnStochastic)
 	e0 := randomSignal(7, g.NumNodes(), 2)
-	_, st, err := Asynchronous(tr, e0, Params{Alpha: 0.05, Tol: 1e-14, MaxSweeps: 1}, randx.New(3))
+	_, st, err := Run(EngineAsynchronous, tr, e0, Params{Alpha: 0.05, Tol: 1e-14, MaxSweeps: 1}, 3)
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("want ErrNoConvergence, got %v", err)
 	}
@@ -140,7 +140,7 @@ func TestAsynchronousAlphaOneKeepsPersonalization(t *testing.T) {
 	g := gengraph.ErdosRenyi(15, 0.3, 9)
 	tr := graph.NewTransition(g, graph.ColumnStochastic)
 	e0 := randomSignal(8, g.NumNodes(), 2)
-	out, _, err := Asynchronous(tr, e0, Params{Alpha: 1}, randx.New(4))
+	out, _, err := Run(EngineAsynchronous, tr, e0, Params{Alpha: 1}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestRunDispatchesEngines(t *testing.T) {
 	tr := graph.NewTransition(g, graph.ColumnStochastic)
 	e0 := randomSignal(9, g.NumNodes(), 4)
 	want := syncFixedPoint(t, tr, e0, 0.4)
-	for _, eng := range []Engine{EngineAsynchronous, EngineParallel} {
+	for _, eng := range allEngines {
 		got, st, err := Run(eng, tr, e0, Params{Alpha: 0.4, Tol: 1e-8}, 7)
 		if err != nil {
 			t.Fatalf("%v: %v", eng, err)
@@ -169,6 +169,129 @@ func TestRunDispatchesEngines(t *testing.T) {
 	}
 	if _, _, err := Run(Engine(99), tr, e0, Params{Alpha: 0.4}, 7); err == nil {
 		t.Fatal("unknown engine must error")
+	}
+}
+
+var allEngines = []Engine{EngineSync, EngineAsynchronous, EngineParallel, EngineParallelGS}
+
+// communityGraph is dense blocks joined by single bridges.
+func communityGraph(n, blocks int) *graph.Graph {
+	b := graph.NewBuilder(n)
+	size := n / blocks
+	r := randx.New(5)
+	for c := 0; c < blocks; c++ {
+		lo, hi := c*size, (c+1)*size
+		if c == blocks-1 {
+			hi = n
+		}
+		for u := lo; u < hi; u++ {
+			for k := 0; k < 4; k++ {
+				if v := lo + r.IntN(hi-lo); v != u {
+					b.AddEdge(u, v)
+				}
+			}
+		}
+		b.AddEdge(lo, hi%n)
+	}
+	return b.Build()
+}
+
+// fixedPointResidual returns ‖α·E0 + (1−α)·A·E − E‖∞: how far E is from
+// solving the PPR system, read off the operator directly.
+func fixedPointResidual(tr *graph.Transition, e0, e *vecmath.Matrix, alpha float64) float64 {
+	row := make([]float64, e.Cols())
+	var worst float64
+	for u := 0; u < e.Rows(); u++ {
+		vecmath.Zero(row)
+		tr.ApplyRow(row, u, 1-alpha, e)
+		vecmath.AXPY(row, alpha, e0.Row(u))
+		if d := vecmath.MaxAbsDiff(row, e.Row(u)); d > worst {
+			worst = d
+		}
+	}
+	return worst
+}
+
+// TestRunFixedPointResidualEveryEngine: whatever the schedule, Run's
+// output solves the PPR system to within 10× the engine's default
+// tolerance, on the topologies that stress a local stopping rule — a hub
+// whose incoming weights are all 1 (star), hubs straddling the graph
+// (hub-adversarial), and weakly bridged blocks (community). Columns retire
+// one by one on every engine, so no whole-block stop backs this up.
+func TestRunFixedPointResidualEveryEngine(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"hub-adversarial": shardTestGraph(),
+		"star":            gengraph.Star(1001),
+		"community":       communityGraph(150, 5),
+	}
+	for name, g := range graphs {
+		tr := graph.NewTransition(g, graph.ColumnStochastic)
+		e0 := randomSignal(21, g.NumNodes(), 6)
+		for _, alpha := range []float64{0.15, 0.5} {
+			for _, eng := range allEngines {
+				out, st, err := Run(eng, tr, e0, Params{Alpha: alpha}, 3)
+				if err != nil {
+					t.Fatalf("%s %v a=%v: %v", name, eng, alpha, err)
+				}
+				tol, _ := Params{}.controls()
+				if eng == EngineSync {
+					tol, _ = Params{}.syncControls()
+				}
+				if r := fixedPointResidual(tr, e0, out, alpha); !st.Converged || r > 10*tol {
+					t.Errorf("%s %v a=%v: fixed-point residual %g > 10·tol %g (converged %v)", name, eng, alpha, r, 10*tol, st.Converged)
+				}
+			}
+		}
+	}
+}
+
+// TestRunEdgeCasesEveryEngine pins the degenerate inputs on every engine:
+// an empty graph converges trivially, an isolated node settles at α·e0,
+// α = 1 returns the input in one sweep, the input is never modified, and
+// an exhausted sweep budget is ErrNoConvergence.
+func TestRunEdgeCasesEveryEngine(t *testing.T) {
+	b := graph.NewBuilder(3)
+	b.AddEdge(0, 1)
+	isolated := graph.NewTransition(b.Build(), graph.ColumnStochastic)
+	empty := graph.NewTransition(graph.NewBuilder(0).Build(), graph.ColumnStochastic)
+	er := graph.NewTransition(gengraph.ErdosRenyi(30, 0.2, 8), graph.ColumnStochastic)
+	for _, eng := range allEngines {
+		out, st, err := Run(eng, empty, vecmath.NewMatrix(0, 3), Params{Alpha: 0.5}, 1)
+		if err != nil || !st.Converged || out.Rows() != 0 || out.Cols() != 3 {
+			t.Errorf("%v empty graph: %v %+v", eng, err, st)
+		}
+
+		e0 := randomSignal(13, 3, 2)
+		out, _, err = Run(eng, isolated, e0, Params{Alpha: 0.5}, 1)
+		if err != nil {
+			t.Fatalf("%v isolated: %v", eng, err)
+		}
+		for j := 0; j < 2; j++ {
+			if d := out.At(2, j) - 0.5*e0.At(2, j); d > 1e-9 || d < -1e-9 {
+				t.Errorf("%v isolated node column %d: %g, want %g", eng, j, out.At(2, j), 0.5*e0.At(2, j))
+			}
+		}
+
+		e0 = randomSignal(8, er.Graph().NumNodes(), 2)
+		snap := e0.Clone()
+		out, st, err = Run(eng, er, e0, Params{Alpha: 1}, 1)
+		if err != nil || !st.Converged || st.Sweeps != 1 {
+			t.Errorf("%v alpha=1: must converge in one sweep, got %v %+v", eng, err, st)
+		}
+		if vecmath.MaxAbsDiffMatrix(out, e0) > 1e-12 {
+			t.Errorf("%v alpha=1 must leave the input unchanged", eng)
+		}
+		if _, _, err := Run(eng, er, e0, Params{Alpha: 0.4}, 1); err != nil {
+			t.Fatalf("%v: %v", eng, err)
+		}
+		if vecmath.MaxAbsDiffMatrix(e0, snap) != 0 {
+			t.Errorf("%v modified its input", eng)
+		}
+
+		out, st, err = Run(eng, er, e0, Params{Alpha: 0.05, Tol: 1e-14, MaxSweeps: 1}, 1)
+		if !errors.Is(err, ErrNoConvergence) || st.Converged || out == nil {
+			t.Errorf("%v: one-sweep budget must return the iterate with ErrNoConvergence, got %v %+v", eng, err, st)
+		}
 	}
 }
 

@@ -70,34 +70,28 @@ func ParseEngine(s string) (Engine, error) {
 	return 0, fmt.Errorf("diffuse: unknown engine %q (want async|parallel|sync|gs)", s)
 }
 
-// Run dispatches one diffusion to the selected engine. seed feeds the
-// Asynchronous engine's update schedule and is ignored by the
-// schedule-independent Parallel and Sync engines.
+// Run diffuses an n×d matrix — the §IV-B embedding diffusion — on the
+// selected engine. The matrix is a d-column Signal, so Run is RunSignal on
+// NewSignal(e0): every column retires the sweep it individually converges
+// (see Stats.ColumnSweeps). The returned matrix holds one diffused row per
+// node; e0 is not modified.
 func Run(e Engine, tr *graph.Transition, e0 *vecmath.Matrix, p Params, seed uint64) (*vecmath.Matrix, Stats, error) {
-	switch e {
-	case EngineAsynchronous:
-		return Asynchronous(tr, e0, p, randx.Derive(seed, "diffuse", "async"))
-	case EngineParallel:
-		return Parallel(tr, e0, p)
-	case EngineSync:
-		return Synchronous(tr, e0, p)
-	case EngineParallelGS:
-		return ParallelGS(tr, e0, p)
+	sig, st, err := RunSignal(e, tr, NewSignal(e0), p, seed)
+	if sig == nil {
+		return nil, st, err
 	}
-	return nil, Stats{}, fmt.Errorf("diffuse: unknown engine %d", int(e))
+	return sig.Matrix(), st, err
 }
 
 // RunSignal dispatches one column-blocked diffusion of a Signal to the
-// selected engine. Unlike Run, the engines track residuals per column and
-// retire columns from the working block as soon as they individually
-// converge (see Signal). seed feeds the Asynchronous engine's update
-// schedule exactly as in Run. Batch results are bit-identical to diffusing
-// each column as its own single-column Signal on the sync, async, and GS
-// engines; EngineSync is additionally bit-identical to Run (the async,
-// parallel, and GS column kernels use the fused-teleport batch kernel,
-// whose rounding differs from the matrix path's Zero+ApplyRow+AXPY
-// sequence). Wide batches run column-tiled per Params.ColTile —
-// bit-identical to untiled on every engine, just faster.
+// selected engine. The engines track residuals per column and retire
+// columns from the working block as soon as they individually converge
+// (see Signal). seed feeds the Asynchronous engine's update schedule and
+// is ignored by the schedule-independent engines. Batch results are
+// bit-identical to diffusing each column as its own single-column Signal
+// on the sync, async, and GS engines, and EngineSync on one column is
+// bit-identical to ppr.PPRFilter. Wide batches run column-tiled per
+// Params.ColTile — bit-identical to one tile on every engine, just faster.
 func RunSignal(e Engine, tr *graph.Transition, sig *Signal, p Params, seed uint64) (*Signal, Stats, error) {
 	switch e {
 	case EngineAsynchronous:

@@ -1,8 +1,6 @@
 package diffuse
 
 import (
-	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"diffusearch/internal/graph"
@@ -31,58 +29,64 @@ import (
 // residuals are tracked across the whole sweep, and columns retire the
 // sweep their residual first drops to tol. Results are identical for
 // every worker count, and the engine honors the Stop/Observe contracts of
-// the other column kernels. An explicit positive Params.ColTile tiles the
-// batch like the other kernels (auto leaves GS untiled — see below); the
-// affine updates always run through the SIMD body.
+// the other column kernels.
 func ParallelGSColumns(tr *graph.Transition, sig *Signal, p Params) (*Signal, Stats, error) {
 	n, cols, err := checkSignal(tr, sig, p)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	tol, maxSweeps := p.controls()
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n && n > 0 {
-		workers = n
-	}
-	var st Stats
 	if n == 0 || cols == 0 {
-		st.Converged = true
-		cb := newColBlock(n, cols)
-		return cb.signal(&st), st, nil
+		return emptyRun(n, cols)
 	}
-	// One tile spanning the batch is the default layout. Unlike the other
-	// kernels, auto (ColTile 0) does not tile wide GS batches: the GS
-	// update already runs the SIMD affine body at full width, so column
-	// tiles add bookkeeping without a kernel upgrade and measure slower on
-	// the recorded hardware. An explicit positive ColTile still tiles —
-	// bit-identically, as everywhere.
+	tol, maxSweeps := p.controls()
+	workers := p.workers(n)
+	// Unlike the other kernels, auto (ColTile 0) runs wide GS batches as
+	// one tile: the in-place update already runs the affine kernel at full
+	// width, so column tiles add bookkeeping without a kernel upgrade and
+	// measure slower on the recorded hardware. An explicit positive
+	// ColTile still tiles — bit-identically, as everywhere.
 	widths := []int{cols}
 	if p.ColTile > 0 {
-		if w := tileWidths(n, cols, p.ColTile); w != nil {
-			widths = w
-		}
+		widths = planTiles(n, cols, p.ColTile)
 	}
 	ts := newTileSet(sig, widths, false)
 	live := make([]*colTile, 0, len(ts.tiles))
 	offs := make([]int, len(ts.tiles))
 	global := make([]float64, cols)
-	g := tr.Graph()
 	classes := tr.Coloring().Classes()
 
 	shards := make([]parShard, workers)
 	scratch := make([][]float64, workers)
 	for w := range shards {
 		shards[w].colRes = make([]float64, cols)
-		scratch[w] = make([]float64, maxWidth(widths))
+		scratch[w] = make([]float64, ts.capWidth)
 	}
 	pool := newWorkerPool(workers)
 	defer pool.close()
-	var cursor atomic.Int64
-	var cum [2]int
-
+	var (
+		cursor atomic.Int64
+		cum    [2]int // claim range: {0, len(class)}
+		class  []graph.NodeID
+		nt     int // live tiles this sweep
+	)
+	// One closure for every class of every sweep: it reads the current
+	// class and tiles through its captures, so a class allocates nothing.
+	update := func(id int) {
+		sh := &shards[id]
+		sc := scratch[id]
+		forEachClaimed(&cursor, cum[:], func(_, lo, hi int) {
+			for _, u := range class[lo:hi] {
+				for ti := 0; ti < nt; ti++ {
+					t := live[ti]
+					tw := t.width()
+					tr.ApplyRowAffine(sc[:tw], u, 1-p.Alpha, t.cur, p.Alpha, t.e0row(u))
+					cr := sh.colRes[offs[ti] : offs[ti]+tw]
+					vecmath.ResidMaxCopy(cr, t.cur.Row(u), sc[:tw])
+				}
+			}
+		})
+	}
+	var st Stats
 	for sweep := 1; sweep <= maxSweeps; sweep++ {
 		live = ts.live(live)
 		w := 0
@@ -90,79 +94,26 @@ func ParallelGSColumns(tr *graph.Transition, sig *Signal, p Params) (*Signal, St
 			offs[ti] = w
 			w += t.width()
 		}
-		nt := len(live)
-		for _, class := range classes {
+		nt = len(live)
+		for _, class = range classes {
 			cum[1] = len(class)
 			cursor.Store(0)
-			pool.run(func(id int) {
-				sh := &shards[id]
-				sc := scratch[id]
-				forEachClaimed(&cursor, cum[:], func(_, lo, hi int) {
-					for _, u := range class[lo:hi] {
-						for ti := 0; ti < nt; ti++ {
-							t := live[ti]
-							tw := t.width()
-							tr.ApplyRowAffineVec(sc[:tw], u, 1-p.Alpha, t.cur, p.Alpha, t.e0row(u))
-							cr := sh.colRes[offs[ti] : offs[ti]+tw]
-							vecmath.ResidMaxCopy(cr, t.cur.Row(u), sc[:tw])
-						}
-						sh.updates++
-					}
-				})
-			})
+			pool.run(update)
 		}
-		st.Sweeps = sweep
-		st.Messages += 2 * int64(g.NumEdges()) // each node pulls its neighbourhood once per sweep
 		cr := global[:w]
 		vecmath.Zero(cr)
 		for id := range shards {
 			sh := &shards[id]
-			st.Updates += sh.updates
 			for j, v := range sh.colRes[:w] {
 				if v > cr[j] {
 					cr[j] = v
 				}
 			}
 			vecmath.Zero(sh.colRes[:w])
-			sh.updates = 0
 		}
-		st.Residual = maxOf(cr)
-		if p.Observe != nil {
-			p.Observe.ObserveSweep(SweepStat{
-				Sweep: sweep, ActiveNodes: n, ActiveColumns: w,
-				Residual: st.Residual, ResidualL1: sumOf(cr),
-				Messages: 2 * int64(g.NumEdges()),
-			})
-		}
-		for ti, t := range live {
-			var stop []bool
-			if p.Stop != nil {
-				stop = p.Stop.Stop(sweep, t.cb.act, t.cur)
-			}
-			t.retireSweep(cr[offs[ti]:offs[ti]+t.width()], tol, stop, sweep)
-		}
-		if ts.activeWidth() == 0 {
-			st.Converged = true
+		if ts.endSweep(&st, p, tr.Graph(), live, cr, tol, sweep) {
 			return ts.signal(&st), st, nil
 		}
 	}
-	ts.retireAll(maxSweeps)
-	return ts.signal(&st), st, fmt.Errorf("%w after %d sweeps (residual %g)", ErrNoConvergence, maxSweeps, st.Residual)
-}
-
-// ParallelGS runs the multi-color Gauss–Seidel engine in matrix mode: the
-// embedding-diffusion entry point behind Run(EngineParallelGS). It
-// delegates to the column kernel — the sweep schedule is identical; the
-// only matrix-mode difference is that converged columns freeze
-// individually (within tol of the joint fixed point, like every column
-// kernel) instead of sweeping until the slowest column finishes.
-//
-// The returned matrix holds one diffused node embedding per row. The
-// input e0 is not modified.
-func ParallelGS(tr *graph.Transition, e0 *vecmath.Matrix, p Params) (*vecmath.Matrix, Stats, error) {
-	sig, st, err := ParallelGSColumns(tr, NewSignal(e0), p)
-	if sig == nil {
-		return nil, st, err
-	}
-	return sig.Matrix(), st, err
+	return ts.exhausted(&st, maxSweeps, "sweeps")
 }

@@ -21,7 +21,7 @@ func TestGSMatchesSynchronousFixedPoint(t *testing.T) {
 			tr := graph.NewTransition(g, norm)
 			e0 := randomSignal(1, g.NumNodes(), 5)
 			want := syncFixedPoint(t, tr, e0, alpha)
-			got, st, err := ParallelGS(tr, e0, Params{Alpha: alpha, Tol: 1e-10, Workers: 4})
+			got, st, err := Run(EngineParallelGS, tr, e0, Params{Alpha: alpha, Tol: 1e-10, Workers: 4}, 0)
 			if err != nil {
 				t.Fatalf("%v a=%v: %v", norm, alpha, err)
 			}

@@ -1,14 +1,11 @@
 package diffuse
 
 import (
-	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"diffusearch/internal/graph"
-	"diffusearch/internal/vecmath"
 )
 
 // frontierChunk is the number of frontier nodes a worker claims per grab.
@@ -51,152 +48,14 @@ func forEachClaimed(cursor *atomic.Int64, cum []int, visit func(s, lo, hi int)) 
 	}
 }
 
-// Parallel runs the residual-driven diffusion: instead of sweeping every
-// node, it maintains an active frontier of nodes with significant unseen
-// incoming change (the Gauss–Southwell selection rule, per the PowerWalk
-// observation that converged regions of the graph need no further work). A
-// node sends on an edge once the change accumulated since that edge's last
-// send exceeds a receiver-aware threshold derived from tol/4 (see
-// pushState), which bounds every receiver's pending incoming influence even
-// at high-degree hubs. Each round recomputes the whole frontier from the
-// previous round's embeddings (block Jacobi on the active set), so the
-// result is deterministic regardless of scheduling or worker count.
-//
-// The frontier is processed by a fixed pool of p.Workers goroutines
-// (default GOMAXPROCS) that claim chunks through an atomic cursor and
-// append to per-shard scratch frontiers — no per-node goroutines, no map
-// mailboxes. Round completion is detected by a pending-work counter, never
-// by sleep polling.
-//
-// Stats.Messages counts one embedding transfer per edge send (plus the
-// initial neighbourhood announcement), the same gossip accounting as a
-// real deployment; targeted per-edge pushes make this strictly smaller
-// than sweeping engines on converging runs.
-//
-// The returned matrix holds one diffused node embedding per row. The input
-// e0 is not modified.
-func Parallel(tr *graph.Transition, e0 *vecmath.Matrix, p Params) (*vecmath.Matrix, Stats, error) {
-	if err := p.validate(); err != nil {
-		return nil, Stats{}, err
-	}
-	g := tr.Graph()
-	n := g.NumNodes()
-	if e0.Rows() != n {
-		return nil, Stats{}, fmt.Errorf("diffuse: signal has %d rows, graph has %d nodes", e0.Rows(), n)
-	}
-	tol, maxRounds := p.controls()
-	pushTol := tol / 4
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n && n > 0 {
-		workers = n
-	}
-
-	cur := e0.Clone()
-	if n == 0 {
-		return cur, Stats{Converged: true}, nil
-	}
-	next := vecmath.NewMatrix(n, e0.Cols())
-	resid := make([]float64, n)      // per-node change of the current round
-	queued := make([]atomic.Bool, n) // membership marks for the next frontier
-	frontier := make([]graph.NodeID, n)
-	for u := range frontier {
-		frontier[u] = u
-	}
-	edgeOff, edgeThr, edgeStale := pushState(tr, pushTol, p.Alpha)
-
-	shards := make([]parShard, workers)
-	pool := newWorkerPool(workers)
-	defer pool.close()
-	var cursor atomic.Int64
-
-	var st Stats
-	// Bootstrap accounting: every node announces e0 to its neighbourhood so
-	// the first round has inputs to read (Σ deg(u) = 2|E| messages).
-	st.Messages = 2 * int64(g.NumEdges())
-
-	// Hoisted claim range for forEachClaimed: the backing array escapes to
-	// the worker closures once, not once per round.
-	var cum [2]int
-	for round := 1; round <= maxRounds; round++ {
-		// Compute phase: new value for every frontier node from the previous
-		// round's embeddings. Writes touch only next rows and resid slots of
-		// frontier nodes, reads only cur — no write conflicts.
-		cum[1] = len(frontier)
-		cursor.Store(0)
-		pool.run(func(w int) {
-			sh := &shards[w]
-			forEachClaimed(&cursor, cum[:], func(_, lo, hi int) {
-				for _, u := range frontier[lo:hi] {
-					row := next.Row(u)
-					vecmath.Zero(row)
-					tr.ApplyRow(row, u, 1-p.Alpha, cur)
-					vecmath.AXPY(row, p.Alpha, e0.Row(u))
-					resid[u] = vecmath.MaxAbsDiff(cur.Row(u), row)
-					sh.updates++
-				}
-			})
-		})
-		// Commit phase: publish the new values and mark every neighbour of a
-		// significantly changed node for the next round. Marking races are
-		// resolved by CompareAndSwap so each node enters the frontier once.
-		// When the frontier covers every node the row copies are replaced by
-		// one buffer swap after the phase.
-		fullRound := len(frontier) == n
-		commit := commitCtx{
-			tr: tr, frontier: frontier, fullRound: fullRound,
-			cur: cur, next: next, resid: resid,
-			edgeOff: edgeOff, edgeThr: edgeThr, edgeStale: edgeStale,
-			queued: queued, cursor: &cursor, cum: [2]int{0, len(frontier)},
-		}
-		cursor.Store(0)
-		pool.run(func(w int) { commit.work(&shards[w]) })
-		if fullRound {
-			cur, next = next, cur
-		}
-		st.Sweeps = round
-		var roundResid float64
-		total := 0
-		for w := range shards {
-			sh := &shards[w]
-			st.Updates += sh.updates
-			st.Messages += sh.messages
-			if sh.maxResid > roundResid {
-				roundResid = sh.maxResid
-			}
-			sh.updates, sh.messages, sh.maxResid = 0, 0, 0
-			total += len(sh.next)
-		}
-		st.Residual = roundResid
-		// Converged when nothing was re-queued: every node's accumulated
-		// unsent change is below its push threshold, so every receiver's
-		// pending incoming influence is at most tol/4. A plain
-		// max-norm-residual stop would be unsound here — (1−α)A is not a
-		// max-norm contraction for column-stochastic hubs, so a small
-		// per-round change can hide a large pending hub update.
-		if total == 0 {
-			st.Converged = true
-			return cur, st, nil
-		}
-		frontier = rebuildFrontier(shards, queued, frontier)
-	}
-	return cur, st, fmt.Errorf("%w after %d rounds (residual %g)", ErrNoConvergence, maxRounds, st.Residual)
-}
-
-// commitCtx bundles the shared inputs of one commit phase so the scalar
-// (Parallel) and column-blocked (ParallelColumns) engines run the identical
-// publish-and-requeue logic.
+// commitCtx bundles the shared inputs of one commit phase of the
+// residual-driven engine (ParallelColumns): publish each frontier node's
+// new tile rows, then push and requeue. Tiling changes the storage layout
+// of the iterate, never the scheduling.
 type commitCtx struct {
 	tr        *graph.Transition
 	frontier  []graph.NodeID
 	fullRound bool
-	cur, next *vecmath.Matrix
-	// tiles, when non-nil, selects the column-tiled publish: each tile's
-	// row is copied from its own next matrix (cur/next above stay nil).
-	// The push-and-requeue logic below is untouched — tiling changes the
-	// storage layout of the iterate, never the scheduling.
 	tiles     []*colTile
 	resid     []float64
 	edgeOff   []int
@@ -213,12 +72,8 @@ func (c *commitCtx) work(sh *parShard) {
 	forEachClaimed(c.cursor, c.cum[:], func(_, lo, hi int) {
 		for _, u := range c.frontier[lo:hi] {
 			if !c.fullRound {
-				if c.tiles != nil {
-					for _, t := range c.tiles {
-						copy(t.cur.Row(u), t.next.Row(u))
-					}
-				} else {
-					copy(c.cur.Row(u), c.next.Row(u))
+				for _, t := range c.tiles {
+					copy(t.cur.Row(u), t.next.Row(u))
 				}
 			}
 			r := c.resid[u]
@@ -304,11 +159,32 @@ func pushState(tr *graph.Transition, pushTol, alpha float64) (off []int, thr, st
 	return off, thr, stale
 }
 
+// retireTol is the per-column retirement threshold of the frontier
+// engines. A column's change c at a frontier node u reaches each
+// neighbour v weighted by (1−α)·A[v][u], so a round's changes add at most
+// ‖(1−α)A‖∞·c (the largest row sum) to any receiver's pending residual,
+// on top of the ≤ pushTol of sub-threshold staleness the push rule
+// allows. Retiring at c ≤ pushTol / max(1, ‖(1−α)A‖∞) keeps every
+// receiver within 2·pushTol = tol/2 of its update when the column
+// freezes — also at a hub whose incoming weights are all 1 (a star under
+// column-stochastic normalization), where a flat pushTol cut leaves the
+// hub off by up to deg·pushTol.
+func retireTol(tr *graph.Transition, pushTol, alpha float64) float64 {
+	var amp float64
+	for v := 0; v < tr.Graph().NumNodes(); v++ {
+		var s float64
+		for _, w := range tr.Weights(v) {
+			s += w
+		}
+		amp = max(amp, s)
+	}
+	return pushTol / max(1, (1-alpha)*amp)
+}
+
 // parShard is the per-worker scratch state: a private slice of next-round
-// frontier members plus round counters, merged by the coordinator between
-// rounds so workers never contend on shared accumulators. colRes (per
-// compact column slot maxima) is allocated only by the column-blocked
-// engine; the scalar engine leaves it nil.
+// frontier members, per compact column slot residual maxima, and round
+// counters, merged by the coordinator between rounds so workers never
+// contend on shared accumulators.
 type parShard struct {
 	next     []graph.NodeID
 	colRes   []float64

@@ -17,7 +17,7 @@ func TestParallelMatchesSynchronousFixedPoint(t *testing.T) {
 			tr := graph.NewTransition(g, norm)
 			e0 := randomSignal(1, g.NumNodes(), 5)
 			want := syncFixedPoint(t, tr, e0, alpha)
-			got, st, err := Parallel(tr, e0, Params{Alpha: alpha, Tol: 1e-8})
+			got, st, err := Run(EngineParallel, tr, e0, Params{Alpha: alpha, Tol: 1e-8}, 0)
 			if err != nil {
 				t.Fatalf("%v a=%v: %v", norm, alpha, err)
 			}
@@ -42,12 +42,12 @@ func TestParallelDeterministicAcrossWorkerCounts(t *testing.T) {
 	g := gengraph.ErdosRenyi(80, 0.1, 4)
 	tr := graph.NewTransition(g, graph.ColumnStochastic)
 	e0 := randomSignal(2, g.NumNodes(), 3)
-	ref, refSt, err := Parallel(tr, e0, Params{Alpha: 0.3, Workers: 1})
+	ref, refSt, err := Run(EngineParallel, tr, e0, Params{Alpha: 0.3, Workers: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 7, 16} {
-		got, st, err := Parallel(tr, e0, Params{Alpha: 0.3, Workers: workers})
+		got, st, err := Run(EngineParallel, tr, e0, Params{Alpha: 0.3, Workers: workers}, 0)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -67,7 +67,7 @@ func TestParallelSendsFewerMessagesThanAsynchronous(t *testing.T) {
 	g, _ = g.LargestComponent()
 	tr := graph.NewTransition(g, graph.ColumnStochastic)
 	e0 := randomSignal(3, g.NumNodes(), 4)
-	_, stPar, err := Parallel(tr, e0, Params{Alpha: 0.5, Tol: 1e-8})
+	_, stPar, err := Run(EngineParallel, tr, e0, Params{Alpha: 0.5, Tol: 1e-8}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestParallelOnStarGraph(t *testing.T) {
 	tr := graph.NewTransition(g, graph.ColumnStochastic)
 	e0 := randomSignal(10, g.NumNodes(), 3)
 	want := syncFixedPoint(t, tr, e0, 0.5)
-	got, _, err := Parallel(tr, e0, Params{Alpha: 0.5, Tol: 1e-8})
+	got, _, err := Run(EngineParallel, tr, e0, Params{Alpha: 0.5, Tol: 1e-8}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestParallelHighDegreeHubAtDefaultTolerance(t *testing.T) {
 	tr := graph.NewTransition(g, graph.ColumnStochastic)
 	e0 := randomSignal(14, g.NumNodes(), 3)
 	want := syncFixedPoint(t, tr, e0, 0.5)
-	got, st, err := Parallel(tr, e0, Params{Alpha: 0.5}) // default tol 1e-6
+	got, st, err := Run(EngineParallel, tr, e0, Params{Alpha: 0.5}, 0) // default tol 1e-6
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +126,11 @@ func TestParallelValidation(t *testing.T) {
 	g := gengraph.Star(5)
 	tr := graph.NewTransition(g, graph.ColumnStochastic)
 	e0 := randomSignal(11, g.NumNodes(), 2)
-	if _, _, err := Parallel(tr, e0, Params{Alpha: -1}); err == nil {
+	if _, _, err := Run(EngineParallel, tr, e0, Params{Alpha: -1}, 0); err == nil {
 		t.Fatal("bad alpha must error")
 	}
 	bad := randomSignal(12, 2, 2)
-	if _, _, err := Parallel(tr, bad, Params{Alpha: 0.5}); err == nil {
+	if _, _, err := Run(EngineParallel, tr, bad, Params{Alpha: 0.5}, 0); err == nil {
 		t.Fatal("row mismatch must error")
 	}
 }
@@ -143,7 +143,7 @@ func TestParallelIsolatedNodes(t *testing.T) {
 	g := b.Build()
 	tr := graph.NewTransition(g, graph.ColumnStochastic)
 	e0 := randomSignal(13, 3, 2)
-	got, _, err := Parallel(tr, e0, Params{Alpha: 0.5})
+	got, _, err := Run(EngineParallel, tr, e0, Params{Alpha: 0.5}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestParallelInputUnmodified(t *testing.T) {
 	tr := graph.NewTransition(g, graph.ColumnStochastic)
 	e0 := randomSignal(4, g.NumNodes(), 2)
 	snap := e0.Clone()
-	if _, _, err := Parallel(tr, e0, Params{Alpha: 0.4}); err != nil {
+	if _, _, err := Run(EngineParallel, tr, e0, Params{Alpha: 0.4}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if vecmath.MaxAbsDiffMatrix(e0, snap) != 0 {
@@ -172,7 +172,7 @@ func TestParallelNoConvergenceBudget(t *testing.T) {
 	g := gengraph.ErdosRenyi(30, 0.2, 8)
 	tr := graph.NewTransition(g, graph.ColumnStochastic)
 	e0 := randomSignal(7, g.NumNodes(), 2)
-	_, st, err := Parallel(tr, e0, Params{Alpha: 0.05, Tol: 1e-14, MaxSweeps: 1})
+	_, st, err := Run(EngineParallel, tr, e0, Params{Alpha: 0.05, Tol: 1e-14, MaxSweeps: 1}, 0)
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("want ErrNoConvergence, got %v", err)
 	}
@@ -185,7 +185,7 @@ func TestParallelAlphaOneKeepsPersonalization(t *testing.T) {
 	g := gengraph.ErdosRenyi(15, 0.3, 9)
 	tr := graph.NewTransition(g, graph.ColumnStochastic)
 	e0 := randomSignal(8, g.NumNodes(), 2)
-	out, st, err := Parallel(tr, e0, Params{Alpha: 1})
+	out, st, err := Run(EngineParallel, tr, e0, Params{Alpha: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestParallelEmptyGraph(t *testing.T) {
 	g := graph.NewBuilder(0).Build()
 	tr := graph.NewTransition(g, graph.ColumnStochastic)
 	e0 := vecmath.NewMatrix(0, 3)
-	out, st, err := Parallel(tr, e0, Params{Alpha: 0.5})
+	out, st, err := Run(EngineParallel, tr, e0, Params{Alpha: 0.5}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

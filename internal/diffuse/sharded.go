@@ -106,6 +106,7 @@ func ShardedParallelColumns(ss *graph.ShardSet, sig *Signal, p Params, pool *Poo
 	}
 	tol, maxRounds := p.controls()
 	pushTol := tol / 4
+	retire := retireTol(ss.Transition(), pushTol, p.Alpha)
 	if pool == nil {
 		pool = NewPool(p.Workers)
 		defer pool.Close()
@@ -302,7 +303,7 @@ func ShardedParallelColumns(ss *graph.ShardSet, sig *Signal, p Params, pool *Poo
 		if p.Stop != nil {
 			stop = p.Stop.Stop(round, cb.act, cur)
 		}
-		keep, done := cb.retireSweep(cr, pushTol, stop, round, cur)
+		keep, done := cb.retireSweep(cr, retire, stop, round, cur)
 		if done {
 			st.Converged = true
 			return cb.signal(&st), st, nil

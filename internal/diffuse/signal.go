@@ -2,7 +2,6 @@ package diffuse
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync/atomic"
 
@@ -12,12 +11,12 @@ import (
 )
 
 // Signal is an n×B column block of B independent scalar node signals
-// diffused together — the batch-query payload of the unified request API.
-// Column j holds one signal over the graph (for content search: the
-// per-node query relevances x_j[v] = e_qj · E0[v] of one query), and all
-// engines diffuse the block column-blocked: one fused Transition.ApplyRow
-// pass per node streams the CSR row once and advances every column, so the
-// per-edge cost is amortized across the batch instead of paid per query.
+// diffused together — everything the engines diffuse. Column j holds one
+// signal over the graph: for batch scoring the per-node query relevances
+// x_j[v] = e_qj · E0[v] of one query, for embedding diffusion (Run) one
+// dimension of E0. All engines diffuse the block column-blocked: one fused
+// CSR pass per node streams the row once and advances every column, so the
+// per-edge cost is amortized across the batch instead of paid per column.
 //
 // Because the PPR filter is linear and columns never mix, each column
 // converges on its own trajectory. The column kernels therefore track
@@ -135,188 +134,141 @@ func checkSignal(tr *graph.Transition, sig *Signal, p Params) (n, cols int, err 
 	return n, sig.mat.Cols(), nil
 }
 
+// emptyRun is the trivially converged result of a run over no nodes or no
+// columns.
+func emptyRun(n, cols int) (*Signal, Stats, error) {
+	st := Stats{Converged: true}
+	return newColBlock(n, cols).signal(&st), st, nil
+}
+
 // SynchronousColumns diffuses a column block with the synchronous engine:
 // full eq. 7 sweeps over every node, per-column residuals, and columns
-// retired the sweep their residual first drops to tol. A single-column
-// Signal is bit-for-bit identical to Synchronous (and therefore to the
-// historical ppr.PPRFilter path) on the same input.
+// retired the sweep their residual first drops to tol. It keeps the unfused
+// Zero+ApplyRow+AXPY sequence rather than the fused affine kernel, so a
+// single-column Signal is bit-for-bit identical to the historical
+// ppr.PPRFilter path on the same input.
 func SynchronousColumns(tr *graph.Transition, sig *Signal, p Params) (*Signal, Stats, error) {
 	n, cols, err := checkSignal(tr, sig, p)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	tol, maxSweeps := p.syncControls()
-	cb := newColBlock(n, cols)
-	var st Stats
 	if n == 0 || cols == 0 {
-		st.Converged = true
-		return cb.signal(&st), st, nil
+		return emptyRun(n, cols)
 	}
-	if widths := tileWidths(n, cols, p.ColTile); widths != nil {
-		return synchronousColumnsTiled(tr, sig, p, widths)
-	}
-	g := tr.Graph()
-	cur := sig.mat.Clone()
-	e0c := sig.mat.Clone()
-	next := vecmath.NewMatrix(n, cols)
+	tol, maxSweeps := p.syncControls()
+	ts := newTileSet(sig, planTiles(n, cols, p.ColTile), true)
+	live := make([]*colTile, 0, len(ts.tiles))
 	colRes := make([]float64, cols)
+	var st Stats
 	for sweep := 1; sweep <= maxSweeps; sweep++ {
-		w := len(cb.act)
-		cr := colRes[:w]
-		vecmath.Zero(cr)
-		for u := 0; u < n; u++ {
-			row := next.Row(u)
-			vecmath.Zero(row)
-			tr.ApplyRow(row, u, 1-p.Alpha, cur)
-			vecmath.AXPY(row, p.Alpha, e0c.Row(u))
-			old := cur.Row(u)
-			for j, v := range row {
-				if d := math.Abs(old[j] - v); d > cr[j] {
-					cr[j] = d
-				}
+		live = ts.live(live)
+		off := 0
+		for _, t := range live {
+			cr := colRes[off : off+t.width()]
+			vecmath.Zero(cr)
+			for u := 0; u < n; u++ {
+				row := t.next.Row(u)
+				vecmath.Zero(row)
+				tr.ApplyRow(row, u, 1-p.Alpha, t.cur)
+				vecmath.AXPY(row, p.Alpha, t.e0row(u))
+				vecmath.ResidMax(cr, t.cur.Row(u), row)
 			}
+			t.cur, t.next = t.next, t.cur
+			off += len(cr)
 		}
-		cur, next = next, cur
-		st.Sweeps = sweep
-		st.Updates += int64(n)
-		st.Messages += 2 * int64(g.NumEdges())
-		st.Residual = maxOf(cr)
-		if p.Observe != nil {
-			p.Observe.ObserveSweep(SweepStat{
-				Sweep: sweep, ActiveNodes: n, ActiveColumns: w,
-				Residual: st.Residual, ResidualL1: sumOf(cr),
-				Messages: 2 * int64(g.NumEdges()),
-			})
-		}
-		var stop []bool
-		if p.Stop != nil {
-			stop = p.Stop.Stop(sweep, cb.act, cur)
-		}
-		keep, done := cb.retireSweep(cr, tol, stop, sweep, cur)
-		if done {
-			st.Converged = true
-			return cb.signal(&st), st, nil
-		}
-		if keep != nil {
-			cur = vecmath.SelectColumns(cur, keep)
-			e0c = vecmath.SelectColumns(e0c, keep)
-			next = vecmath.NewMatrix(n, len(keep))
+		if ts.endSweep(&st, p, tr.Graph(), live, colRes[:off], tol, sweep) {
+			return ts.signal(&st), st, nil
 		}
 	}
-	cb.retireAll(maxSweeps, cur)
-	return cb.signal(&st), st, fmt.Errorf("%w after %d sweeps (residual %g)", ErrNoConvergence, maxSweeps, st.Residual)
+	return ts.exhausted(&st, maxSweeps, "sweeps")
 }
 
 // AsynchronousColumns diffuses a column block with the asynchronous engine:
 // seeded randomized single-node Gauss–Seidel updates, per-column sweep
 // residuals, and columns retired the sweep their residual first drops to
-// tol. The per-sweep node permutations are drawn exactly as in
-// Asynchronous, so each column's trajectory — and its retirement sweep —
-// is bit-identical to diffusing that column alone.
+// tol. One node permutation is drawn per sweep and shared by every tile, so
+// each column's update schedule — and with it its trajectory and
+// retirement sweep — is bit-identical to diffusing that column alone.
 func AsynchronousColumns(tr *graph.Transition, sig *Signal, p Params, r *randx.Rand) (*Signal, Stats, error) {
 	n, cols, err := checkSignal(tr, sig, p)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	tol, maxSweeps := p.controls()
-	cb := newColBlock(n, cols)
-	var st Stats
 	if n == 0 || cols == 0 {
-		st.Converged = true
-		return cb.signal(&st), st, nil
+		return emptyRun(n, cols)
 	}
-	if widths := tileWidths(n, cols, p.ColTile); widths != nil {
-		return asynchronousColumnsTiled(tr, sig, p, r, widths)
-	}
-	g := tr.Graph()
-	cur := sig.mat.Clone()
-	e0c := sig.mat.Clone()
-	scratch := make([]float64, cols)
+	tol, maxSweeps := p.controls()
+	ts := newTileSet(sig, planTiles(n, cols, p.ColTile), false)
+	live := make([]*colTile, 0, len(ts.tiles))
 	colRes := make([]float64, cols)
+	scratch := make([]float64, ts.capWidth)
+	var st Stats
 	for sweep := 1; sweep <= maxSweeps; sweep++ {
-		w := len(cb.act)
-		cr := colRes[:w]
-		vecmath.Zero(cr)
-		sc := scratch[:w]
-		for _, u := range r.Perm(n) {
-			tr.ApplyRowAffine(sc, u, 1-p.Alpha, cur, p.Alpha, e0c.Row(u))
-			row := cur.Row(u)
-			for j, v := range sc {
-				if d := math.Abs(row[j] - v); d > cr[j] {
-					cr[j] = d
-				}
+		live = ts.live(live)
+		perm := r.Perm(n)
+		off := 0
+		for _, t := range live {
+			cr := colRes[off : off+t.width()]
+			vecmath.Zero(cr)
+			sc := scratch[:len(cr)]
+			for _, u := range perm {
+				tr.ApplyRowAffine(sc, u, 1-p.Alpha, t.cur, p.Alpha, t.e0row(u))
+				vecmath.ResidMaxCopy(cr, t.cur.Row(u), sc)
 			}
-			copy(row, sc)
-			st.Updates++
-			st.Messages += int64(g.Degree(u))
+			off += len(cr)
 		}
-		st.Sweeps = sweep
-		st.Residual = maxOf(cr)
-		if p.Observe != nil {
-			p.Observe.ObserveSweep(SweepStat{
-				Sweep: sweep, ActiveNodes: n, ActiveColumns: w,
-				Residual: st.Residual, ResidualL1: sumOf(cr),
-				Messages: 2 * int64(g.NumEdges()),
-			})
-		}
-		var stop []bool
-		if p.Stop != nil {
-			stop = p.Stop.Stop(sweep, cb.act, cur)
-		}
-		keep, done := cb.retireSweep(cr, tol, stop, sweep, cur)
-		if done {
-			st.Converged = true
-			return cb.signal(&st), st, nil
-		}
-		if keep != nil {
-			cur = vecmath.SelectColumns(cur, keep)
-			e0c = vecmath.SelectColumns(e0c, keep)
+		if ts.endSweep(&st, p, tr.Graph(), live, colRes[:off], tol, sweep) {
+			return ts.signal(&st), st, nil
 		}
 	}
-	cb.retireAll(maxSweeps, cur)
-	return cb.signal(&st), st, fmt.Errorf("%w after %d sweeps (residual %g)", ErrNoConvergence, maxSweeps, st.Residual)
+	return ts.exhausted(&st, maxSweeps, "sweeps")
 }
 
 // ParallelColumns diffuses a column block with the residual-driven frontier
-// engine. Scheduling is shared across the block: a frontier node's residual
-// is its largest per-column change, and one per-edge staleness accumulator
-// gates sends for the whole block (a send carries every active column, so
-// firing an edge resets the staleness of all columns at once — each
-// column's individual unseen influence per receiver therefore stays within
-// the same tol/4 budget the scalar engine guarantees).
+// engine: instead of sweeping every node, it maintains an active frontier
+// of nodes with significant unseen incoming change (the Gauss–Southwell
+// selection rule, per the PowerWalk observation that converged regions of
+// the graph need no further work). A node sends on an edge once the change
+// accumulated since that edge's last send exceeds a receiver-aware
+// threshold derived from pushTol = tol/4 (see pushState). Each round
+// recomputes the whole frontier from the previous round's values (block
+// Jacobi on the active set), so the result is deterministic regardless of
+// scheduling or worker count. The frontier is processed by a fixed pool of
+// p.Workers goroutines (default GOMAXPROCS).
+//
+// Scheduling is shared across the block: a frontier node's residual is
+// its largest change over every tile's columns, and one per-edge staleness
+// accumulator gates sends for the whole block (a send carries every active
+// column, so firing an edge resets the staleness of all columns at once —
+// each column's individual unseen influence per receiver therefore stays
+// within the tol/4 budget). Tiling changes only where each tile's compute
+// pass reads from, never the frontier, the messages, or the retirements.
 //
 // Per-column early termination: a column whose largest change over the
-// round's frontier falls to the push threshold pushTol = tol/4 is retired —
-// below that granularity its remaining dynamics are inside the engine's
-// own quiescence budget. Global quiescence (no node re-queued) retires
-// every remaining column.
+// round's frontier falls to retireTol — pushTol, scaled down by the
+// operator's largest weighted in-degree — is retired, since every
+// receiver's pending change in it is then within tol/2. Global quiescence
+// (no node re-queued) retires every remaining column.
+//
+// Stats.Messages counts one transfer per edge send plus the initial
+// neighbourhood announcement, the same gossip accounting as a real
+// deployment.
 func ParallelColumns(tr *graph.Transition, sig *Signal, p Params) (*Signal, Stats, error) {
 	n, cols, err := checkSignal(tr, sig, p)
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	if n == 0 || cols == 0 {
+		return emptyRun(n, cols)
+	}
 	tol, maxRounds := p.controls()
 	pushTol := tol / 4
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n && n > 0 {
-		workers = n
-	}
-	cb := newColBlock(n, cols)
-	var st Stats
-	if n == 0 || cols == 0 {
-		st.Converged = true
-		return cb.signal(&st), st, nil
-	}
-	if widths := tileWidths(n, cols, p.ColTile); widths != nil {
-		return parallelColumnsTiled(tr, sig, p, widths)
-	}
+	retire := retireTol(tr, pushTol, p.Alpha)
+	workers := p.workers(n)
+	ts := newTileSet(sig, planTiles(n, cols, p.ColTile), true)
+	live := make([]*colTile, 0, len(ts.tiles))
+	offs := make([]int, len(ts.tiles))
 	g := tr.Graph()
-	cur := sig.mat.Clone()
-	e0c := sig.mat.Clone()
-	next := vecmath.NewMatrix(n, cols)
 	resid := make([]float64, n)
 	queued := make([]atomic.Bool, n)
 	frontier := make([]graph.NodeID, n)
@@ -334,52 +286,72 @@ func ParallelColumns(tr *graph.Transition, sig *Signal, p Params) (*Signal, Stat
 	var cursor atomic.Int64
 	colRound := make([]float64, cols)
 	var obsMsgs int64 // last Messages total handed to the observer
+	var st Stats
 
-	st.Messages = 2 * int64(g.NumEdges()) // bootstrap announcement, as in Parallel
+	// Bootstrap accounting: every node announces its signal to its
+	// neighbourhood so the first round has inputs to read (Σ deg(u) = 2|E|).
+	st.Messages = 2 * int64(g.NumEdges())
 
-	// Hoisted claim range for forEachClaimed, as in Parallel.
-	var cum [2]int
+	// The phase closures and the commit context are built once and read
+	// each round's frontier and live tiles through their captures, so a
+	// round allocates nothing of its own.
+	var (
+		nt     int    // live tiles this round
+		cum    [2]int // claim range for forEachClaimed: {0, len(frontier)}
+		commit = commitCtx{
+			tr: tr, resid: resid,
+			edgeOff: edgeOff, edgeThr: edgeThr, edgeStale: edgeStale,
+			queued: queued, cursor: &cursor,
+		}
+	)
+	// Compute phase: per frontier node, one fused CSR pass per tile
+	// advances its active columns; per-column maxima feed retirement and
+	// the per-node max feeds the shared push scheduling. Writes touch only
+	// next rows and resid slots of frontier nodes, reads only cur — no
+	// write conflicts.
+	compute := func(id int) {
+		sh := &shards[id]
+		forEachClaimed(&cursor, cum[:], func(_, lo, hi int) {
+			for _, u := range frontier[lo:hi] {
+				var nodeRes float64
+				for ti := 0; ti < nt; ti++ {
+					t := live[ti]
+					row := t.next.Row(u)
+					tr.ApplyRowAffine(row, u, 1-p.Alpha, t.cur, p.Alpha, t.e0row(u))
+					cr := sh.colRes[offs[ti] : offs[ti]+len(row)]
+					if d := vecmath.ResidMax(cr, t.cur.Row(u), row); d > nodeRes {
+						nodeRes = d
+					}
+				}
+				resid[u] = nodeRes
+				sh.updates++
+			}
+		})
+	}
+	// Commit phase: publish the new values and mark every neighbour of a
+	// significantly changed node for the next round. When the frontier
+	// covers every node the row copies are replaced by one buffer swap per
+	// tile after the phase.
+	publish := func(id int) { commit.work(&shards[id]) }
 	for round := 1; round <= maxRounds; round++ {
-		w := len(cb.act)
-		// Compute phase: per frontier node, one fused CSR pass advances all
-		// active columns; per-column maxima feed the retirement decision and
-		// the per-node max feeds the shared push scheduling.
+		live = ts.live(live)
+		w := 0
+		for ti, t := range live {
+			offs[ti] = w
+			w += t.width()
+		}
+		nt = len(live)
 		cum[1] = len(frontier)
 		cursor.Store(0)
-		pool.run(func(id int) {
-			sh := &shards[id]
-			cr := sh.colRes[:w]
-			forEachClaimed(&cursor, cum[:], func(_, lo, hi int) {
-				for _, u := range frontier[lo:hi] {
-					row := next.Row(u)
-					tr.ApplyRowAffine(row, u, 1-p.Alpha, cur, p.Alpha, e0c.Row(u))
-					old := cur.Row(u)
-					var nodeRes float64
-					for j, v := range row {
-						d := math.Abs(old[j] - v)
-						if d > cr[j] {
-							cr[j] = d
-						}
-						if d > nodeRes {
-							nodeRes = d
-						}
-					}
-					resid[u] = nodeRes
-					sh.updates++
-				}
-			})
-		})
-		fullRound := len(frontier) == n
-		commit := commitCtx{
-			tr: tr, frontier: frontier, fullRound: fullRound,
-			cur: cur, next: next, resid: resid,
-			edgeOff: edgeOff, edgeThr: edgeThr, edgeStale: edgeStale,
-			queued: queued, cursor: &cursor, cum: [2]int{0, len(frontier)},
-		}
+		pool.run(compute)
+		commit.frontier, commit.tiles, commit.cum = frontier, live, cum
+		commit.fullRound = len(frontier) == n
 		cursor.Store(0)
-		pool.run(func(id int) { commit.work(&shards[id]) })
-		if fullRound {
-			cur, next = next, cur
+		pool.run(publish)
+		if commit.fullRound {
+			for _, t := range live {
+				t.cur, t.next = t.next, t.cur
+			}
 		}
 		st.Sweeps = round
 		var roundResid float64
@@ -412,31 +384,34 @@ func ParallelColumns(tr *graph.Transition, sig *Signal, p Params) (*Signal, Stat
 			obsMsgs = st.Messages
 		}
 		if total == 0 {
-			// Global quiescence: every receiver's pending incoming influence
-			// is below tol/4 for every column (per-column staleness never
-			// exceeds the shared accumulator). All remaining columns retire.
-			cb.retireAll(round, cur)
+			// Global quiescence: every receiver's pending incoming
+			// influence is below tol/4 for every column (per-column
+			// staleness never exceeds the shared accumulator). All
+			// remaining columns retire.
+			ts.retireAll(round)
 			st.Converged = true
-			return cb.signal(&st), st, nil
+			return ts.signal(&st), st, nil
 		}
 		frontier = rebuildFrontier(shards, queued, frontier)
-		var stop []bool
-		if p.Stop != nil {
-			stop = p.Stop.Stop(round, cb.act, cur)
-		}
-		keep, done := cb.retireSweep(cr, pushTol, stop, round, cur)
-		if done {
+		if ts.retire(live, cr, retire, p.Stop, round) {
 			st.Converged = true
-			return cb.signal(&st), st, nil
-		}
-		if keep != nil {
-			cur = vecmath.SelectColumns(cur, keep)
-			e0c = vecmath.SelectColumns(e0c, keep)
-			next = vecmath.NewMatrix(n, len(keep))
+			return ts.signal(&st), st, nil
 		}
 	}
-	cb.retireAll(maxRounds, cur)
-	return cb.signal(&st), st, fmt.Errorf("%w after %d rounds (residual %g)", ErrNoConvergence, maxRounds, st.Residual)
+	return ts.exhausted(&st, maxRounds, "rounds")
+}
+
+// workers resolves the pool size of the parallel engines for an n-node
+// graph: Params.Workers, defaulting to GOMAXPROCS, never more than n.
+func (p Params) workers(n int) int {
+	w := p.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	if w > n && n > 0 {
+		w = n
+	}
+	return w
 }
 
 // maxOf returns the largest value of v (0 for an empty slice).

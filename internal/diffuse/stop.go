@@ -16,16 +16,15 @@ import "diffusearch/internal/vecmath"
 //
 // Call protocol, identical on every engine:
 //
-//   - Stop(sweep, act, cur) is called once per sweep (Sync/Async/GS) or
-//     frontier round (Parallel), after the iterate is consistent and before
-//     the engine's own residual-based retirement. On the column-tiled wide
-//     batch path (Params.ColTile) the engine makes one such call per live
-//     tile within the sweep, each covering that tile's slots — the union of
-//     a sweep's calls sees exactly the active block once.
-//   - act maps the active block's compact slots to original column indices
-//     (it shrinks as columns retire); cur is the n×len(act) current iterate
-//     whose column k holds original column act[k]. On the tiled path act
-//     and cur describe one tile.
+//   - Stop(sweep, act, cur) is called once per live column tile per sweep
+//     (Sync/Async/GS) or frontier round (Parallel), after the iterate is
+//     consistent and before the engine's own residual-based retirement.
+//     Each call covers that tile's slots — the union of a sweep's calls
+//     sees exactly the active block once (one call when the batch runs as
+//     one tile; see Params.ColTile).
+//   - act maps the tile's compact slots to original column indices (it
+//     shrinks as columns retire); cur is the n×len(act) current iterate
+//     whose column k holds original column act[k].
 //   - The returned slice flags compact slots to retire now: stop[k] retires
 //     original column act[k] with its current values. nil (or all-false)
 //     stops nothing. The engine reads the slice before the next sweep; the

@@ -1,34 +1,36 @@
 package diffuse
 
 import (
+	"fmt"
+
+	"diffusearch/internal/graph"
 	"diffusearch/internal/vecmath"
 )
 
-// Column tiling: wide signals (B ≥ wideTileMin) are split into column
-// tiles of T columns held in physically separate matrices, and each sweep
-// runs tile by tile. Two effects pay for the restructure:
+// Column tiling: every single-CSR column kernel runs its sweep tile by
+// tile over a tileSet. A tile is a slice of the batch held in its own
+// matrices; the untiled layout is simply one tile spanning the batch.
+// Wide signals (B ≥ wideTileMin) are split into tiles of T columns, which
+// pays for itself twice:
 //
 //   - The per-tile iterate (n×T) fits in L2 next to the streamed CSR row
 //     data, where the full n×B iterate of a wide batch does not, so the
 //     gathered source rows of the affine kernel stop missing to outer
 //     cache levels.
-//   - The tile rows feed the SIMD affine kernel
-//     (graph.Transition.ApplyRowAffineVec), which performs one IEEE
-//     multiply/add per scalar multiply/add of the legacy kernel in the
-//     same per-element order — bit-identical values, several times the
-//     throughput.
+//   - Each tile's rows feed the affine kernel
+//     (graph.Transition.ApplyRowAffine) at a width its SIMD body runs
+//     well at.
 //
 // Tiling is a pure loop-order change: per-column trajectories, residuals,
 // retirement sweeps (Stats.ColumnSweeps), and Observer sweep aggregates
-// are bit-for-bit identical to the untiled kernels. Params.ColTile
-// selects the policy: 0 auto-tiles wide signals with a width from the
-// cache model below, a negative value disables tiling (the legacy
-// untiled kernels run unchanged), and a positive value forces that tile
-// width at any batch width.
+// are bit-for-bit identical whatever the tile plan. Params.ColTile
+// selects the plan: 0 auto-tiles wide signals with a width from the cache
+// model below, a negative value runs one tile, and a positive value
+// forces that tile width at any batch width.
 const (
 	// wideTileMin is the batch width at which auto-tiling engages. Below
-	// it the whole iterate comfortably fits cache and the untiled kernels
-	// already saturate the CPU.
+	// it the whole iterate comfortably fits cache and one tile
+	// already saturates the CPU.
 	wideTileMin = 256
 	// tileL2Bytes is the cache model's per-core L2 budget for one tile of
 	// the source iterate; the CSR row stream is sequential and prefetched,
@@ -42,7 +44,7 @@ const (
 )
 
 // tileWidths plans the column tile widths for a batch of cols columns
-// over an n-node graph. nil means run untiled.
+// over an n-node graph. nil means one tile spanning the batch.
 func tileWidths(n, cols, colTile int) []int {
 	t := 0
 	switch {
@@ -75,8 +77,16 @@ func tileWidths(n, cols, colTile int) []int {
 	return widths
 }
 
+// planTiles is tileWidths with the one-tile plan spelled out.
+func planTiles(n, cols, colTile int) []int {
+	if w := tileWidths(n, cols, colTile); w != nil {
+		return w
+	}
+	return []int{cols}
+}
+
 // AutoTileWidth reports the tile width the auto policy (ColTile 0) picks
-// for a cols-wide batch on an n-node graph; 0 means auto runs untiled.
+// for a cols-wide batch on an n-node graph; 0 means auto runs one tile.
 // Exported so benchmarks and admin surfaces can report the realized width
 // without re-deriving the cache model.
 func AutoTileWidth(n, cols int) int {
@@ -87,7 +97,7 @@ func AutoTileWidth(n, cols int) int {
 	return w[0]
 }
 
-// colTile is one column tile of a tiled run: a private slice of the batch
+// colTile is one column tile of a run: a private slice of the batch
 // with its own compact active block (cb.act is tile-local; out and sweeps
 // are shared across tiles through the embedded colBlock), iterate
 // matrices, and residual scratch. Tiles only ever shrink — retirement
@@ -105,7 +115,6 @@ type colTile struct {
 	e0v  *vecmath.Matrix // input matrix backing the view
 	e0lo int             // first input column of the view
 	next *vecmath.Matrix // nil for the in-place engines
-	cr   []float64       // per active slot: this sweep's residual max
 }
 
 // width returns the tile's current active width.
@@ -120,7 +129,7 @@ func (t *colTile) e0row(u int) []float64 {
 }
 
 // retireSweep retires the tile's converged/stopped slots and repacks its
-// matrices. cr must be the tile's merged residuals for the sweep.
+// matrices. cr must be the tile's residuals for the sweep.
 func (t *colTile) retireSweep(cr []float64, thresh float64, stop []bool, sweep int) {
 	keep, _ := t.cb.retireSweep(cr, thresh, stop, sweep, t.cur)
 	if keep == nil {
@@ -142,7 +151,7 @@ func (t *colTile) retireSweep(cr []float64, thresh float64, stop []bool, sweep i
 	}
 }
 
-// tileSet is the shared state of one tiled run: the finalized output and
+// tileSet is the shared state of one run: the finalized output and
 // per-column sweep counts (shared by every tile's colBlock) plus the
 // tiles in column order.
 type tileSet struct {
@@ -183,7 +192,6 @@ func newTileSet(sig *Signal, widths []int, needNext bool) *tileSet {
 			cur:  cur,
 			e0v:  sig.mat,
 			e0lo: lo,
-			cr:   make([]float64, w),
 		}
 		if needNext {
 			t.next = vecmath.NewMatrix(n, w)
@@ -200,7 +208,7 @@ func newTileSet(sig *Signal, widths []int, needNext bool) *tileSet {
 // ordered partitions of the batch, and every engine's per-column work is
 // independent of how active columns are grouped into tiles, so merging
 // preserves bit-identity (the concatenated compact order — the order the
-// observer and untiled kernels see — is unchanged) while restoring full
+// observer sees — is unchanged) while restoring full
 // kernel widths for the tail of the run.
 func (ts *tileSet) live(dst []*colTile) []*colTile {
 	dst = dst[:0]
@@ -247,7 +255,6 @@ func coalesceTiles(group []*colTile, w int) *colTile {
 		cb:  colBlock{act: make([]int, 0, w), out: group[0].cb.out, sweeps: group[0].cb.sweeps},
 		cur: vecmath.NewMatrix(n, w),
 		e0c: vecmath.NewMatrix(n, w),
-		cr:  make([]float64, w),
 	}
 	if group[0].next != nil {
 		m.next = vecmath.NewMatrix(n, w)
@@ -290,14 +297,61 @@ func (ts *tileSet) signal(st *Stats) *Signal {
 	return &Signal{mat: ts.out}
 }
 
-// mergeResiduals copies each live tile's per-slot residuals into the
-// global compact layout (tiles concatenated in order) so Residual and
-// ResidualL1 aggregate in exactly the untiled kernels' slot order —
-// keeping the observer's sums bit-identical, not just equal in value.
-func mergeResiduals(live []*colTile, global []float64) []float64 {
+// retire retires each live tile's columns whose residual in cr (live
+// tiles concatenated in order) dropped to thresh, plus every column the
+// stop predicate flags (one Stop call per live tile), and reports whether
+// no column is left active.
+func (ts *tileSet) retire(live []*colTile, cr []float64, thresh float64, stop StopPredicate, sweep int) bool {
 	off := 0
 	for _, t := range live {
-		off += copy(global[off:off+t.width()], t.cr[:t.width()])
+		w := t.width()
+		var flags []bool
+		if stop != nil {
+			flags = stop.Stop(sweep, t.cb.act, t.cur)
+		}
+		t.retireSweep(cr[off:off+w], thresh, flags, sweep)
+		off += w
 	}
-	return global[:off]
+	return ts.activeWidth() == 0
+}
+
+// endSweep closes one whole-graph sweep of the dense kernels (sync, async,
+// GS): it accounts the sweep in st (every node updated once, one value
+// pulled per directed edge), reports it to the observer, and retires
+// columns as retire does. cr holds the sweep's per-column residuals, live
+// tiles concatenated in order. It reports whether every column has
+// retired, and then marks st converged.
+func (ts *tileSet) endSweep(st *Stats, p Params, g *graph.Graph, live []*colTile, cr []float64, tol float64, sweep int) bool {
+	msgs := 2 * int64(g.NumEdges())
+	st.Sweeps = sweep
+	st.Updates += int64(g.NumNodes())
+	st.Messages += msgs
+	st.Residual = maxOf(cr)
+	if p.Observe != nil {
+		p.Observe.ObserveSweep(SweepStat{
+			Sweep: sweep, ActiveNodes: g.NumNodes(), ActiveColumns: len(cr),
+			Residual: st.Residual, ResidualL1: sumOf(cr), Messages: msgs,
+		})
+	}
+	st.Converged = ts.retire(live, cr, tol, p.Stop, sweep)
+	return st.Converged
+}
+
+// exhausted finalizes a run that spent its budget of max sweeps (unit
+// names them in the error) with columns still active.
+func (ts *tileSet) exhausted(st *Stats, max int, unit string) (*Signal, Stats, error) {
+	ts.retireAll(max)
+	sig := ts.signal(st)
+	return sig, *st, fmt.Errorf("%w after %d %s (residual %g)", ErrNoConvergence, max, unit, st.Residual)
+}
+
+// maxWidth returns the largest planned tile width.
+func maxWidth(widths []int) int {
+	m := 0
+	for _, w := range widths {
+		if w > m {
+			m = w
+		}
+	}
+	return m
 }

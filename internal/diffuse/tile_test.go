@@ -45,9 +45,9 @@ func TestTileWidths(t *testing.T) {
 
 // TestTiledBitIdenticalToUntiled is the tiling correctness property: for
 // every engine, forcing any column tiling (including ragged final tiles)
-// must reproduce the untiled run bit for bit — scores, Stats,
-// per-column sweep counts, and the Observer's per-sweep records alike.
-// Tiling is a loop-order change only.
+// must reproduce the one-tile run (ColTile < 0) bit for bit — scores,
+// Stats, per-column sweep counts, and the Observer's per-sweep records
+// alike. Tiling is a loop-order change only.
 func TestTiledBitIdenticalToUntiled(t *testing.T) {
 	tr := signalGraph(t)
 	n := tr.Graph().NumNodes()
@@ -77,7 +77,7 @@ func TestTiledBitIdenticalToUntiled(t *testing.T) {
 					tiled, tst, tobs := run(tile)
 
 					if d := vecmath.MaxAbsDiffMatrix(tiled.Matrix(), plain.Matrix()); d != 0 {
-						t.Errorf("tiled output differs from untiled by %g (must be bit-identical)", d)
+						t.Errorf("tiled output differs from one tile by %g (must be bit-identical)", d)
 					}
 					if tst.Sweeps != pst.Sweeps || tst.Updates != pst.Updates ||
 						tst.Messages != pst.Messages || tst.Residual != pst.Residual ||

@@ -54,7 +54,7 @@ type BatchRow struct {
 	// (0: the batch ran untiled), and UntiledNsPerQuery the cost of the
 	// same call with tiling disabled (ColTile -1) — only measured on
 	// widths where auto-tiling engages, 0 otherwise. The two runs return
-	// bit-identical scores; the gap is the tiled+SIMD kernel dividend.
+	// bit-identical scores; the gap is the tiling dividend.
 	TileWidth         int
 	UntiledNsPerQuery float64
 }
@@ -113,7 +113,7 @@ func BatchScaling(env *Environment, cfg BatchConfig) ([]BatchRow, error) {
 		if tw := diffuse.AutoTileWidth(env.Graph.NumNodes(), b); tw > 0 {
 			row.TileWidth = tw
 			ureq := req
-			ureq.ColTile = -1 // legacy untiled kernels, bit-identical scores
+			ureq.ColTile = -1 // one tile spanning the batch, bit-identical scores
 			ustart := time.Now()
 			if _, _, err := net.ScoreBatch(queries[:b], ureq); err != nil {
 				return nil, fmt.Errorf("expt: batch B=%d untiled: %w", b, err)

@@ -42,9 +42,8 @@ func (c DiffusionConfig) withDefaults(env *Environment) DiffusionConfig {
 
 // DiffusionRow reports one engine's run: cost model (updates, messages,
 // sweeps), wall-clock time, and fidelity against the synchronous fixed
-// point of eq. 7. ColumnSweeps is set only for the column-blocked signal
-// rows, where per-column early termination makes sweep counts vary across
-// the embedding dimensions.
+// point of eq. 7. ColumnSweeps holds each embedding dimension's sweep
+// count: per-column early termination retires dimensions one by one.
 type DiffusionRow struct {
 	Engine        string
 	Wall          time.Duration
@@ -79,7 +78,7 @@ func CompareDiffusionEngines(env *Environment, cfg DiffusionConfig) ([]Diffusion
 	if err != nil {
 		return nil, fmt.Errorf("expt: synchronous reference: %w", err)
 	}
-	rows := make([]DiffusionRow, 0, 2*len(cfg.Engines))
+	rows := make([]DiffusionRow, 0, len(cfg.Engines))
 	for _, eng := range cfg.Engines {
 		start := time.Now()
 		out, st, err := diffuse.Run(eng, tr, e0, diffuse.Params{
@@ -96,29 +95,6 @@ func CompareDiffusionEngines(env *Environment, cfg DiffusionConfig) ([]Diffusion
 			Messages:      st.Messages,
 			Residual:      st.Residual,
 			MaxDiffVsSync: vecmath.MaxAbsDiffMatrix(out, ref),
-			Converged:     st.Converged,
-		})
-	}
-	// Column-blocked rows: the same engines diffusing E0's dimensions as an
-	// n×dim Signal with per-column residual tracking. The per-column sweep
-	// counts make the batch kernels' early-terminated columns visible next
-	// to the coupled matrix runs above.
-	for _, eng := range cfg.Engines {
-		start := time.Now()
-		sig, st, err := diffuse.RunSignal(eng, tr, diffuse.NewSignal(e0), diffuse.Params{
-			Alpha: cfg.Alpha, Tol: cfg.Tol, Workers: cfg.Workers,
-		}, cfg.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("expt: engine %v (cols): %w", eng, err)
-		}
-		rows = append(rows, DiffusionRow{
-			Engine:        eng.String() + "(cols)",
-			Wall:          time.Since(start),
-			Sweeps:        st.Sweeps,
-			Updates:       st.Updates,
-			Messages:      st.Messages,
-			Residual:      st.Residual,
-			MaxDiffVsSync: vecmath.MaxAbsDiffMatrix(sig.Matrix(), ref),
 			Converged:     st.Converged,
 			ColumnSweeps:  st.ColumnSweeps,
 		})
@@ -141,7 +117,7 @@ func SummarizeColumnSweeps(cols []int) string {
 
 // FormatDiffusion renders CompareDiffusionEngines rows; speedup is
 // wall-clock relative to the first row, and col-sweeps summarizes the
-// per-column sweep counts (min/med/max) of the column-blocked rows. The
+// per-column sweep counts (min/med/max) of each row. The
 // engine column clips through the shared labelCell width, like every
 // other engine-labelled table.
 func FormatDiffusion(rows []DiffusionRow) *stats.Table {

@@ -13,10 +13,8 @@ func TestCompareDiffusionEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Matrix rows per engine plus the column-blocked signal rows that
-	// expose per-column sweep counts.
-	if len(rows) != 4 || rows[0].Engine != "async" || rows[1].Engine != "parallel" ||
-		rows[2].Engine != "async(cols)" || rows[3].Engine != "parallel(cols)" {
+	// One row per engine, each exposing per-column sweep counts.
+	if len(rows) != 2 || rows[0].Engine != "async" || rows[1].Engine != "parallel" {
 		t.Fatalf("unexpected rows: %+v", rows)
 	}
 	for _, r := range rows {
@@ -32,7 +30,7 @@ func TestCompareDiffusionEngines(t *testing.T) {
 			t.Fatalf("%s off fixed point by %g", r.Engine, r.MaxDiffVsSync)
 		}
 	}
-	for _, r := range rows[2:] {
+	for _, r := range rows {
 		if len(r.ColumnSweeps) == 0 {
 			t.Fatalf("%s must report per-column sweeps", r.Engine)
 		}
@@ -41,7 +39,7 @@ func TestCompareDiffusionEngines(t *testing.T) {
 		}
 	}
 	if SummarizeColumnSweeps(nil) != "-" {
-		t.Fatal("matrix rows must render '-' for col-sweeps")
+		t.Fatal("a row without column tracking must render '-' for col-sweeps")
 	}
 	// The frontier's bandwidth win over the sweeping reference only shows
 	// once diffusion localizes (asserted at quarter scale in the top-level
@@ -64,7 +62,7 @@ func TestCompareDiffusionEnginesCustomEngineList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 || rows[0].Engine != "parallel" || rows[1].Engine != "parallel(cols)" {
+	if len(rows) != 1 || rows[0].Engine != "parallel" {
 		t.Fatalf("unexpected rows: %+v", rows)
 	}
 }

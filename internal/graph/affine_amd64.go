@@ -21,13 +21,8 @@ func x86HasAVX2() bool
 //go:noescape
 func affineRowAVX2(dst []float64, coeff float64, nbrs []int, ws []float64, src []float64, stride int, tele float64, e0 []float64)
 
-// applyRowAffineVec dispatches one affine CSR-row accumulation to the AVX2
-// kernel when available, else to the portable Go kernel. Same contract and
-// bit-identical output either way.
+// applyRowAffineVec runs one affine CSR-row accumulation on the AVX2 body.
+// Callers check hasVec first.
 func applyRowAffineVec(dst []float64, coeff float64, nbrs []NodeID, ws []float64, src *vecmath.Matrix, tele float64, e0row []float64) {
-	if hasVec {
-		affineRowAVX2(dst, coeff, nbrs, ws, src.Data(), src.Cols(), tele, e0row)
-		return
-	}
-	applyRowAffineKernel(dst, coeff, nbrs, ws, src, tele, e0row)
+	affineRowAVX2(dst, coeff, nbrs, ws, src.Data(), src.Cols(), tele, e0row)
 }

@@ -24,14 +24,16 @@ func randTransition(t testing.TB, n int, r *rand.Rand) *Transition {
 	return NewTransition(g, ColumnStochastic)
 }
 
-// TestApplyRowAffineVecBitIdentical checks the SIMD kernel (or its
-// portable fallback) against applyRowAffineKernel bit-for-bit across
-// widths that hit every vector/scalar tail combination.
+// TestApplyRowAffineVecBitIdentical checks every body ApplyRowAffine can
+// run on this CPU (the SIMD body where present, and the dispatching entry
+// point itself) against the portable Go kernel bit-for-bit, across widths
+// 1–9 and 64 plus wide ones, so every vector/scalar tail combination runs.
 func TestApplyRowAffineVecBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	tr := randTransition(t, 97, r)
 	n := tr.Graph().NumNodes()
-	for _, cols := range []int{1, 2, 3, 4, 5, 7, 8, 31, 32, 33, 64, 127, 512} {
+	bodies := append(tr.AffineKernels(), AffineKernel{Name: "ApplyRowAffine", Apply: tr.ApplyRowAffine})
+	for _, cols := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 64, 127, 512} {
 		src := vecmath.NewMatrix(n, cols)
 		e0 := vecmath.NewMatrix(n, cols)
 		for _, m := range []*vecmath.Matrix{src, e0} {
@@ -43,11 +45,14 @@ func TestApplyRowAffineVecBitIdentical(t *testing.T) {
 		want := make([]float64, cols)
 		got := make([]float64, cols)
 		for u := 0; u < n; u++ {
-			tr.ApplyRowAffine(want, u, 0.5, src, 0.15, e0.Row(u))
-			tr.ApplyRowAffineVec(got, u, 0.5, src, 0.15, e0.Row(u))
-			for j := range want {
-				if want[j] != got[j] {
-					t.Fatalf("cols=%d u=%d col=%d: vec=%v scalar=%v (must be bit-identical)", cols, u, j, got[j], want[j])
+			start, end := tr.g.offsets[u], tr.g.offsets[u+1]
+			applyRowAffineKernel(want, 0.5, tr.g.neighbors[start:end], tr.weights[start:end], src, 0.15, e0.Row(u))
+			for _, k := range bodies {
+				k.Apply(got, u, 0.5, src, 0.15, e0.Row(u))
+				for j := range want {
+					if want[j] != got[j] {
+						t.Fatalf("%s cols=%d u=%d col=%d: %v vs Go kernel %v (must be bit-identical)", k.Name, cols, u, j, got[j], want[j])
+					}
 				}
 			}
 		}

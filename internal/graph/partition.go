@@ -230,14 +230,14 @@ func (t *TransitionShard) ApplyRow(dst []float64, i int, coeff float64, src *vec
 }
 
 // ApplyRowAffine computes dst = tele·e0row + coeff · Σ_v A[u][v] · src[v]
-// for local row i with the shipped 4-edge-unrolled kernel, bit-identical to
-// Transition.ApplyRowAffine on the corresponding global row.
+// for local row i, bit-identical to Transition.ApplyRowAffine on the
+// corresponding global row (same dispatch, same edge order).
 func (t *TransitionShard) ApplyRowAffine(dst []float64, i int, coeff float64, src *vecmath.Matrix, tele float64, e0row []float64) {
 	if len(dst) != src.Cols() || len(e0row) != len(dst) {
 		panic(fmt.Sprintf("graph: shard ApplyRowAffine width mismatch dst=%d e0=%d src=%d", len(dst), len(e0row), src.Cols()))
 	}
 	start, end := t.offsets[i], t.offsets[i+1]
-	applyRowAffineKernel(dst, coeff, t.neighbors[start:end], t.weights[start:end], src, tele, e0row)
+	applyRowAffine(dst, coeff, t.neighbors[start:end], t.weights[start:end], src, tele, e0row)
 }
 
 // ShardSet is a Transition split into per-shard CSRs under a Partition —

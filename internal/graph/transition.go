@@ -196,30 +196,38 @@ func applyRowKernel(dst []float64, coeff float64, nbrs []NodeID, ws []float64, s
 // src[v] in one fused pass: the teleport term seeds dst (replacing the
 // separate Zero + AXPY passes of the eq. 7 kernels) and the CSR row
 // accumulates on top, four edges at a time so each dst element is
-// loaded/stored once per edge quad. The batch scoring engines use it on
-// their hot path; note the addition order differs from Zero+ApplyRow+AXPY,
-// so results are equal only up to rounding — callers needing
+// loaded/stored once per edge quad. The column kernels use it on their hot
+// path; note the addition order differs from Zero+ApplyRow+AXPY, so
+// results are equal only up to rounding — callers needing
 // bit-compatibility with the historical synchronous filter must keep the
 // unfused sequence.
 //
-// The kernel shipped 2-edge-unrolled through PR 2; the ROADMAP
-// profile-guided-kernel item asked for a 4-edge evaluation, and the wider
-// unroll won at every serving batch width (B=1/8/64, 10–26% on the
-// evaluation hardware: four streamed source rows hide load latency better
-// without spilling the accumulator row). ApplyRowAffine2 preserves the
-// 2-edge kernel so cmd/benchjson can keep recording the comparison in
-// BENCH_diffuse.json's apply_row_affine rows.
+// On CPUs with a SIMD body (amd64 with AVX2) the row runs there; elsewhere
+// the portable Go kernel runs. The SIMD body performs one IEEE
+// multiply/add per scalar multiply/add of the Go kernel in the same
+// per-element order, so the output is bit-for-bit the same on every CPU.
 func (t *Transition) ApplyRowAffine(dst []float64, u NodeID, coeff float64, src *vecmath.Matrix, tele float64, e0row []float64) {
 	if len(dst) != src.Cols() || len(e0row) != len(dst) {
 		panic(fmt.Sprintf("graph: ApplyRowAffine width mismatch dst=%d e0=%d src=%d", len(dst), len(e0row), src.Cols()))
 	}
 	start, end := t.g.offsets[u], t.g.offsets[u+1]
-	applyRowAffineKernel(dst, coeff, t.g.neighbors[start:end], t.weights[start:end], src, tele, e0row)
+	applyRowAffine(dst, coeff, t.g.neighbors[start:end], t.weights[start:end], src, tele, e0row)
 }
 
-// applyRowAffineKernel is the shared 4-edge-unrolled body behind
-// Transition.ApplyRowAffine and TransitionShard.ApplyRowAffine (see
+// applyRowAffine dispatches one affine CSR-row accumulation to the SIMD
+// body when the CPU has one, else to the portable Go kernel. It is shared
+// by Transition.ApplyRowAffine and TransitionShard.ApplyRowAffine (see
 // applyRowKernel for why the row slices are shared).
+func applyRowAffine(dst []float64, coeff float64, nbrs []NodeID, ws []float64, src *vecmath.Matrix, tele float64, e0row []float64) {
+	if hasVec {
+		applyRowAffineVec(dst, coeff, nbrs, ws, src, tele, e0row)
+		return
+	}
+	applyRowAffineKernel(dst, coeff, nbrs, ws, src, tele, e0row)
+}
+
+// applyRowAffineKernel is the portable 4-edge-unrolled Go body of
+// ApplyRowAffine, and the reference the SIMD body must match bit for bit.
 func applyRowAffineKernel(dst []float64, coeff float64, nbrs []NodeID, ws []float64, src *vecmath.Matrix, tele float64, e0row []float64) {
 	e := e0row[:len(dst)]
 	for j := range dst {
@@ -254,61 +262,30 @@ func applyRowAffineKernel(dst []float64, coeff float64, nbrs []NodeID, ws []floa
 	}
 }
 
-// HasVectorKernel reports whether ApplyRowAffineVec runs on a SIMD
-// implementation (amd64 with AVX2) rather than the portable Go kernel.
-// Exposed so benchmarks and snapshot metadata can record which body
-// produced a measurement.
-func HasVectorKernel() bool { return hasVec }
-
-// ApplyRowAffineVec is ApplyRowAffine backed by a SIMD kernel when the CPU
-// has one (see HasVectorKernel). The vector body performs one IEEE
-// multiply/add per scalar multiply/add of applyRowAffineKernel in the same
-// per-element order, so the two are bit-for-bit identical; the tiled
-// wide-batch kernels in internal/diffuse call this on their hot path and
-// stay exactly equal to the untiled scalar path.
-func (t *Transition) ApplyRowAffineVec(dst []float64, u NodeID, coeff float64, src *vecmath.Matrix, tele float64, e0row []float64) {
-	if len(dst) != src.Cols() || len(e0row) != len(dst) {
-		panic(fmt.Sprintf("graph: ApplyRowAffineVec width mismatch dst=%d e0=%d src=%d", len(dst), len(e0row), src.Cols()))
-	}
-	start, end := t.g.offsets[u], t.g.offsets[u+1]
-	applyRowAffineVec(dst, coeff, t.g.neighbors[start:end], t.weights[start:end], src, tele, e0row)
+// AffineKernel is one body of the affine row kernel, named for benchmark
+// reports.
+type AffineKernel struct {
+	Name  string
+	Apply func(dst []float64, u NodeID, coeff float64, src *vecmath.Matrix, tele float64, e0row []float64)
 }
 
-// ApplyRowAffine2 is the historical 2-edge-unrolled kernel, kept as the
-// evaluation counterpart of the shipped 4-edge ApplyRowAffine (see its doc
-// comment): cmd/benchjson times both on the paper-scale graph so the
-// BENCH_diffuse.json apply_row_affine rows keep justifying the choice on
-// the recording hardware. Summation order differs between the unrolls, so
-// outputs agree only up to rounding.
-func (t *Transition) ApplyRowAffine2(dst []float64, u NodeID, coeff float64, src *vecmath.Matrix, tele float64, e0row []float64) {
-	if len(dst) != src.Cols() || len(e0row) != len(dst) {
-		panic(fmt.Sprintf("graph: ApplyRowAffine2 width mismatch dst=%d e0=%d src=%d", len(dst), len(e0row), src.Cols()))
-	}
-	e := e0row[:len(dst)]
-	for j := range dst {
-		dst[j] = tele * e[j]
-	}
-	start, end := t.g.offsets[u], t.g.offsets[u+1]
-	i := start
-	for ; i+1 < end; i += 2 {
-		w1 := coeff * t.weights[i]
-		w2 := coeff * t.weights[i+1]
-		r1 := src.Row(t.g.neighbors[i])
-		r2 := src.Row(t.g.neighbors[i+1])
-		d := dst[:len(r1)]
-		r2 = r2[:len(r1)]
-		for j, x := range r1 {
-			d[j] += w1*x + w2*r2[j]
+// AffineKernels returns the bodies ApplyRowAffine can run on this CPU:
+// the portable Go kernel ("go") and, when the CPU has one, the SIMD body
+// ("simd") that ApplyRowAffine dispatches to. Benchmarks time them side by
+// side; production code calls ApplyRowAffine. Apply skips the width
+// checks of ApplyRowAffine.
+func (t *Transition) AffineKernels() []AffineKernel {
+	row := func(body func([]float64, float64, []NodeID, []float64, *vecmath.Matrix, float64, []float64)) func([]float64, NodeID, float64, *vecmath.Matrix, float64, []float64) {
+		return func(dst []float64, u NodeID, coeff float64, src *vecmath.Matrix, tele float64, e0row []float64) {
+			start, end := t.g.offsets[u], t.g.offsets[u+1]
+			body(dst, coeff, t.g.neighbors[start:end], t.weights[start:end], src, tele, e0row)
 		}
 	}
-	if i < end {
-		w := coeff * t.weights[i]
-		row := src.Row(t.g.neighbors[i])
-		d := dst[:len(row)]
-		for j, x := range row {
-			d[j] += w * x
-		}
+	ks := []AffineKernel{{Name: "go", Apply: row(applyRowAffineKernel)}}
+	if hasVec {
+		ks = append(ks, AffineKernel{Name: "simd", Apply: row(applyRowAffineVec)})
 	}
+	return ks
 }
 
 // Apply computes dst[u] = Σ_{v∈N(u)} A[u][v] · src[v] for a scalar signal.

@@ -27,7 +27,6 @@ import (
 	"diffusearch/internal/diffuse"
 	"diffusearch/internal/embed"
 	"diffusearch/internal/graph"
-	"diffusearch/internal/vecmath"
 )
 
 // Config parameterizes a sharded backend.
@@ -72,26 +71,10 @@ func NewBackend(tr *graph.Transition, cfg Config) *Backend {
 // ShardSet exposes the partitioned operator (shard CSRs, boundary counts).
 func (b *Backend) ShardSet() *graph.ShardSet { return b.ss }
 
-// Diffuse implements core.Scorer for embedding diffusion. The sync and
-// parallel engines run column-blocked over the shards; per-column early
-// termination stops each embedding dimension at its own tolerance crossing
-// instead of the matrix path's global residual, so Run results agree with
-// the single-CSR network within the engine tolerance (as engines always
-// have across scheduling changes) rather than bitwise — ScoreBatch, which
-// is column-blocked on both sides, stays bit-identical. The sequential
-// asynchronous reference runs on the full CSR.
-func (b *Backend) Diffuse(e0 *vecmath.Matrix, engine diffuse.Engine, p diffuse.Params, seed uint64) (*vecmath.Matrix, diffuse.Stats, error) {
-	if engine == diffuse.EngineAsynchronous {
-		return diffuse.Run(engine, b.ss.Transition(), e0, p, seed)
-	}
-	sig, st, err := diffuse.RunSharded(engine, b.ss, diffuse.NewSignal(e0), p, seed, b.pool)
-	if sig == nil {
-		return nil, st, err
-	}
-	return sig.Matrix(), st, err
-}
-
-// DiffuseSignal implements core.Scorer for batch query scoring.
+// DiffuseSignal implements core.Scorer. The sync and parallel engines run
+// over the shards and reproduce the single-CSR kernels bit for bit, for
+// ScoreBatch and Run alike; the sequential asynchronous reference and the
+// globally scheduled GS engine run on the full CSR.
 func (b *Backend) DiffuseSignal(sig *diffuse.Signal, engine diffuse.Engine, p diffuse.Params, seed uint64) (*diffuse.Signal, diffuse.Stats, error) {
 	return diffuse.RunSharded(engine, b.ss, sig, p, seed, b.pool)
 }

@@ -566,16 +566,6 @@ func (b *Backend) String() string {
 		b.built, len(b.seeds), b.bytes, b.cfg.Budget)
 }
 
-// Diffuse is the embedding path (Network.Run): the index stores scalar
-// PPR columns, not embedding diffusions, so it delegates to a plain
-// engine run over the current operator.
-func (b *Backend) Diffuse(e0 *vecmath.Matrix, engine diffuse.Engine, p diffuse.Params, seed uint64) (*vecmath.Matrix, diffuse.Stats, error) {
-	b.mu.RLock()
-	tr := b.tr
-	b.mu.RUnlock()
-	return diffuse.Run(engine, tr, e0, p, seed)
-}
-
 // DiffuseSignal is the scoring hot path: assemble from segments, compute
 // the exact residual, finish it with the requested engine. See the
 // package comment for the identity that makes any segment state safe.
